@@ -12,7 +12,7 @@ layer norms have affine parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,15 +59,20 @@ class BlockWeights:
             raise ShapeError(f"channels {c} not divisible by heads {h}")
         if c % 2 != 0:
             raise ShapeError(f"channels {c} must be even for the gate hidden layer")
-        expect = {
-            "w_q": (c, c), "w_k": (c, c), "w_v": (c, c), "w_o": (c, c),
-            "w_head": (c, h), "gate_w1": (c, c // 2), "gate_w2": (c // 2, 1),
-            "ffn_w1": (c, 4 * c), "ffn_w2": (4 * c, c),
-            "ln1_gain": (c,), "ln1_bias": (c,), "ln2_gain": (c,), "ln2_bias": (c,),
-        }
+        expect = block_parameter_shapes(c, h)
         for name, t in self.named_tensors().items():
             if t.shape != expect[name]:
                 raise ShapeError(f"{name}: expected shape {expect[name]}, got {t.shape}")
+
+
+def block_parameter_shapes(c: int, h: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every block tensor at width c with h heads, in named_tensors order."""
+    return {
+        "w_q": (c, c), "w_k": (c, c), "w_v": (c, c), "w_o": (c, c),
+        "w_head": (c, h), "gate_w1": (c, c // 2), "gate_w2": (c // 2, 1),
+        "ffn_w1": (c, 4 * c), "ffn_w2": (4 * c, c),
+        "ln1_gain": (c,), "ln1_bias": (c,), "ln2_gain": (c,), "ln2_bias": (c,),
+    }
 
 
 @dataclass
@@ -80,13 +85,11 @@ class AttentionState:
     until pruning shrinks the working set).
     """
 
-    forward_attn: np.ndarray                 # (H, N, N) row-stochastic
-    head_probs: np.ndarray | None = None     # (N, H)
-    gate: np.ndarray | None = None           # (N,) this block's gate
-    cumulative_gate: np.ndarray | None = None  # (N,) product up through this block
-    reversed_attn: np.ndarray | None = None  # (H, N, N)
-    mask: np.ndarray | None = None           # (N, N) sum of reversed heads
-    token_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    mask: np.ndarray                      # (N, N) sum of reversed heads
+    cumulative_gate: np.ndarray           # (N,) product up through this block
+    token_indices: np.ndarray             # (N,) original index of each row/column
+    head_probs: np.ndarray | None = None  # (N, H)
+    gate: np.ndarray | None = None        # (N,) this block's gate
 
 
 def init_block_weights(channels: int, heads: int, rng: np.random.Generator,
@@ -167,18 +170,12 @@ def reverse_compose(attn: Tensor, head_probs: Tensor,
 
 
 def block_forward(x: Tensor, weights: BlockWeights, gate_prev: Tensor,
-                  temperature: float = 0.1,
-                  direction: str = "reverse") -> tuple[Tensor, Tensor, AttentionState]:
-    """One pre-norm block pass over (N, C) tokens.
+                  temperature: float = 0.1) -> tuple[Tensor, Tensor, AttentionState]:
+    """One pre-norm block pass over (N, C) tokens, child sending to parent.
 
-    direction "reverse" runs the dependency flow (child sends to parent);
-    "forward" runs the same weights as a plain attention block, leaving the
-    gate untouched and the state's dependency fields unset.  Returns the
-    updated tokens, the cumulative gate after this block, and a detached
-    state snapshot.
+    Returns the updated tokens, the cumulative gate after this block, and a
+    detached state snapshot.
     """
-    if direction not in ("reverse", "forward"):
-        raise UsageError(f"direction must be 'reverse' or 'forward', got {direction!r}")
     if x.data.ndim != 2:
         raise ShapeError(f"block input must be (tokens, channels), got {x.shape}")
     if x.shape[1] != weights.channels:
@@ -187,28 +184,17 @@ def block_forward(x: Tensor, weights: BlockWeights, gate_prev: Tensor,
 
     x_norm = tn.layer_norm(x, weights.ln1_gain, weights.ln1_bias)
     attn, values = forward_attention(x_norm, weights)
-
-    if direction == "reverse":
-        probs = head_selector(x_norm, weights.w_head, temperature)
-        gate, gate_cum = message_controller(x_norm, weights.gate_w1, weights.gate_w2, gate_prev)
-        rev, mask = reverse_compose(attn, probs, gate_cum)
-        head_out = tn.batched_matmul(rev, values)
-        state = AttentionState(
-            forward_attn=attn.data.copy(),
-            head_probs=probs.data.copy(),
-            gate=gate.data.copy(),
-            cumulative_gate=gate_cum.data.copy(),
-            reversed_attn=rev.data.copy(),
-            mask=mask.data.copy(),
-            token_indices=np.arange(n, dtype=np.int64),
-        )
-    else:
-        gate_cum = gate_prev
-        head_out = tn.batched_matmul(attn, values)
-        state = AttentionState(
-            forward_attn=attn.data.copy(),
-            token_indices=np.arange(n, dtype=np.int64),
-        )
+    probs = head_selector(x_norm, weights.w_head, temperature)
+    gate, gate_cum = message_controller(x_norm, weights.gate_w1, weights.gate_w2, gate_prev)
+    rev, mask = reverse_compose(attn, probs, gate_cum)
+    head_out = tn.batched_matmul(rev, values)
+    state = AttentionState(
+        mask=mask.data.copy(),
+        cumulative_gate=gate_cum.data.copy(),
+        token_indices=np.arange(n, dtype=np.int64),
+        head_probs=probs.data.copy(),
+        gate=gate.data.copy(),
+    )
 
     mixed = tn.matmul(tn.merge_heads(head_out), weights.w_o)
     x_mid = tn.add(x, mixed)

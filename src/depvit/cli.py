@@ -29,7 +29,6 @@ from .errors import (
 )
 from .evalkit import LabelGrid, part_metrics, saliency_metrics
 from .fileio import (
-    grid_to_json_dict,
     load_config,
     load_grid_values,
     load_weights,
@@ -194,10 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="tree JSON path (default: stdout)")
     p.add_argument("--dot", help="also write Graphviz DOT here")
     p.add_argument("--mask", help="also write the dependency mask JSON here")
-    sel = p.add_mutually_exclusive_group()
-    sel.add_argument("--layer", type=int, help="use this block's mask (1-based)")
-    sel.add_argument("--avg", action="store_true",
-                     help="average masks over blocks (default)")
+    p.add_argument("--layer", type=int,
+                   help="use this block's mask (1-based); default: mean over blocks")
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("prune", help="run the token-pruning forward pass")

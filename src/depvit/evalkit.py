@@ -82,66 +82,14 @@ class MetricReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _square_assignment(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost perfect assignment on a square matrix; row -> column.
-
-    Potentials-based augmenting-path construction, O(n^3).
-    """
-    n = cost.shape[0]
-    inf = float("inf")
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=np.int64)  # column -> row, 1-based rows
-    way = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta, j1 = inf, -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta, j1 = minv[j], j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    out = np.zeros(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        out[match[j] - 1] = j - 1
-    return out
-
-
 def _best_total(scores: np.ndarray) -> float:
-    """Maximum achievable total score with one-to-one real pairs."""
-    p, g = scores.shape
-    if p == 0 or g == 0:
-        return 0.0
-    n = max(p, g)
-    padded = np.zeros((n, n))
-    padded[:p, :g] = scores
-    rows = _square_assignment(-padded)
-    return float(sum(
-        scores[i, rows[i]] for i in range(p) if rows[i] < g
-    ))
+    """Maximum achievable total score with min(P, G) one-to-one pairs."""
+    # Imported here, not at module level: scipy.optimize adds a noticeable
+    # share to the package's import time and only part metrics need it.
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(scores, maximize=True)
+    return float(scores[rows, cols].sum())
 
 
 def hungarian_match(scores: np.ndarray) -> list[tuple[int, int]]:

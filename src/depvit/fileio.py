@@ -10,9 +10,11 @@ little-endian.  Readers fail loudly with the byte offset of the problem.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -94,8 +96,13 @@ def read_container(path) -> dict[str, np.ndarray]:
             n_elem *= ext
         nbytes = n_elem * _DTYPES[code].itemsize
         payload_at = need(nbytes, f"payload of {name!r}")
-        arr = np.frombuffer(data, dtype=_DTYPES[code], count=n_elem,
-                            offset=payload_at).reshape(shape)
+        arr = np.frombuffer(data, dtype=_DTYPES[code], count=n_elem, offset=payload_at)
+        try:
+            # an empty entry can still declare extents whose product overflows
+            arr = arr.reshape(shape)
+        except ValueError as exc:
+            raise FormatError(f"entry {name!r} has unrepresentable shape {shape}",
+                              offset=payload_at) from exc
         out[name] = arr.copy()
     if pos != len(data):
         raise FormatError("trailing bytes after final entry", offset=pos)
@@ -204,46 +211,24 @@ def write_ppm(path, image: np.ndarray) -> None:
     Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode() + body.tobytes())
 
 
-_CONFIG_DEFAULTS = {
-    "image_size": 224,
-    "patch_size": 16,
-    "channels": 192,
-    "heads": 12,
-    "layers": 12,
-    "temperature": 0.1,
-    "prune_layers": (),
-    "kept_tokens": (),
-    "num_classes": 1000,
-    "seed": 0,
-    "min_part_size": 0.01,
-    "beta2": 0.3,
-    "alpha": 1.0,
-    "tau_affinity": 0.2,
-}
-_INT_KEYS = {"image_size", "patch_size", "channels", "heads", "layers",
-             "num_classes", "seed"}
-_FLOAT_KEYS = {"temperature", "min_part_size", "beta2", "alpha", "tau_affinity"}
-_LIST_KEYS = {"prune_layers", "kept_tokens"}
+_MODEL_DEFAULTS = ModelConfig()
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs: model dimensions plus protocol knobs."""
 
-    image_size: int = 224
-    patch_size: int = 16
-    channels: int = 192
-    heads: int = 12
-    layers: int = 12
-    temperature: float = 0.1
+    image_size: int = _MODEL_DEFAULTS.image_size
+    patch_size: int = _MODEL_DEFAULTS.patch_size
+    channels: int = _MODEL_DEFAULTS.channels
+    heads: int = _MODEL_DEFAULTS.heads
+    layers: int = _MODEL_DEFAULTS.layers
+    temperature: float = _MODEL_DEFAULTS.temperature
     prune_layers: tuple[int, ...] = ()
     kept_tokens: tuple[int, ...] = ()
-    num_classes: int = 1000
-    seed: int = 0
+    num_classes: int = _MODEL_DEFAULTS.num_classes
+    seed: int = _MODEL_DEFAULTS.seed
     min_part_size: float = 0.01
-    beta2: float = 0.3
-    alpha: float = 1.0
-    tau_affinity: float = 0.2
 
     def __post_init__(self):
         if len(self.prune_layers) != len(self.kept_tokens):
@@ -266,6 +251,23 @@ class RunConfig:
         )
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+_VALUE_PARSERS = {int: int, float: _finite_float, tuple[int, ...]: _int_list}
+_KEY_PARSERS = {
+    name: _VALUE_PARSERS[kind] for name, kind in get_type_hints(RunConfig).items()
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """key=value lines; # comments and blank lines ignored; keys fixed."""
     values: dict = {}
@@ -277,18 +279,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_DEFAULTS:
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            else:
-                values[key] = tuple(int(v) for v in val.split(",") if v.strip()) \
-                    if val else ()
+            values[key] = _KEY_PARSERS[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     return RunConfig(**values)
@@ -313,22 +309,26 @@ def tree_to_json_dict(tree: DependencyTree) -> dict:
 
 
 def tree_from_json_dict(d: dict) -> DependencyTree:
+    """Inverse of tree_to_json_dict; node ids must be exactly 0..n-1."""
     try:
         nodes = d["nodes"]
         root = int(d["root"])
-        n = len(nodes)
-        parent = np.zeros(n, dtype=np.int64)
-        weight = np.zeros(n, dtype=np.float64)
-        subtree = np.full(n, -1, dtype=np.int64)
-        for node in nodes:
-            i = int(node["id"])
-            parent[i] = int(node["parent"])
-            weight[i] = float(node["weight"])
-            subtree[i] = int(node.get("subtree", -1))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        ids = [int(node["id"]) for node in nodes]
+        parent = np.array([int(node["parent"]) for node in nodes], dtype=np.int64)
+        weight = np.array([float(node["weight"]) for node in nodes], dtype=np.float64)
+        subtree = np.array([int(node.get("subtree", -1)) for node in nodes], dtype=np.int64)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed tree JSON: {exc}", offset=0) from exc
-    tree = DependencyTree(parent=parent, edge_weight=weight, root=root,
-                          subtree=subtree)
+    n = len(ids)
+    if sorted(ids) != list(range(n)):
+        raise FormatError(f"tree node ids must be 0..{n - 1}, each once", offset=0)
+    if not 0 <= root < n:
+        raise FormatError(f"tree root {root} outside 0..{n - 1}", offset=0)
+    if ((parent < -1) | (parent >= n)).any():
+        raise FormatError("tree parent index out of range", offset=0)
+    order = np.argsort(ids)
+    tree = DependencyTree(parent=parent[order], edge_weight=weight[order], root=root,
+                          subtree=subtree[order])
     tree.validate()
     return tree
 

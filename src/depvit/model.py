@@ -8,13 +8,21 @@ the gate-weighted token mean, layer-normalized, then a linear classifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tn
-from .block import AttentionState, BlockWeights, block_forward, init_block_weights, pool_tokens
-from .errors import ConfigError, ShapeError, UsageError
+from .block import (
+    AttentionState,
+    BlockWeights,
+    block_forward,
+    block_parameter_shapes,
+    init_block_weights,
+    pool_tokens,
+)
+from .data import patch_vectors
+from .errors import ConfigError, ShapeError
 from .pruning import PruneLedger, prune_step
 from .tensor import Tensor
 
@@ -40,6 +48,8 @@ class ModelConfig:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
             )
+        if self.channels < 1 or self.heads < 1:
+            raise ConfigError("channels and heads must be positive")
         if self.channels % self.heads != 0:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
         if self.channels % 2 != 0:
@@ -50,6 +60,8 @@ class ModelConfig:
             raise ConfigError("temperature must be positive")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         n = self.tokens
         prev_kept = n
         prev_layer = 0
@@ -84,21 +96,12 @@ def tiny(**overrides) -> ModelConfig:
     return ModelConfig(**{"channels": 192, **overrides})
 
 
-def small(**overrides) -> ModelConfig:
-    """224px, C=384, H=12, L=12 (no pruning)."""
-    return ModelConfig(**{"channels": 384, **overrides})
-
-
 LITE_SCHEDULE = ((2, 160), (5, 128), (8, 96), (11, 64))
 
 
 def lite_tiny(**overrides) -> ModelConfig:
     """Tiny with the keep schedule 160/128/96/64 after blocks 2/5/8/11."""
     return tiny(**{"prune_schedule": LITE_SCHEDULE, **overrides})
-
-
-def lite_small(**overrides) -> ModelConfig:
-    return small(**{"prune_schedule": LITE_SCHEDULE, **overrides})
 
 
 @dataclass
@@ -128,9 +131,6 @@ class ModelWeights:
             for name, t in blk.named_tensors().items():
                 out[f"block{i:02d}.{name}"] = t
         return out
-
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.named_tensors().values())
 
     @classmethod
     def from_named_tensors(cls, config, tensors: dict[str, Tensor]) -> "ModelWeights":
@@ -167,12 +167,7 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         "classifier_w": (c, config.num_classes),
         "classifier_b": (config.num_classes,),
     }
-    block = {
-        "w_q": (c, c), "w_k": (c, c), "w_v": (c, c), "w_o": (c, c),
-        "w_head": (c, h), "gate_w1": (c, c // 2), "gate_w2": (c // 2, 1),
-        "ffn_w1": (c, 4 * c), "ffn_w2": (4 * c, c),
-        "ln1_gain": (c,), "ln1_bias": (c,), "ln2_gain": (c,), "ln2_bias": (c,),
-    }
+    block = block_parameter_shapes(c, h)
     for i in range(config.layers):
         for name, shp in block.items():
             shapes[f"block{i:02d}.{name}"] = shp
@@ -220,18 +215,12 @@ def patch_embed(image: np.ndarray, config: ModelConfig, weights: ModelWeights) -
     p = config.patch_size
     if hh % p != 0 or ww % p != 0:
         raise ConfigError(f"image {hh}x{ww} not divisible by patch size {p}")
-    gh, gw = hh // p, ww // p
-    if gh * gw != config.tokens:
+    patches = (hh // p) * (ww // p)
+    if patches != config.tokens:
         raise ConfigError(
-            f"image yields {gh * gw} patches but the config expects {config.tokens}"
+            f"image yields {patches} patches but the config expects {config.tokens}"
         )
-    patches = (
-        image.reshape(gh, p, gw, p, 3)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(gh * gw, p * p * 3)
-    )
-    dtype = weights.patch_proj.dtype
-    x = tn.tensor(patches, dtype=dtype)
+    x = tn.tensor(patch_vectors(image, p), dtype=weights.patch_proj.dtype)
     projected = tn.add(tn.matmul(x, weights.patch_proj), weights.patch_bias)
     return tn.add(projected, weights.pos_table)
 

@@ -43,8 +43,8 @@ class PruneEvent:
         for idx, wgt in self.parents.items():
             if not 0 <= idx < n_tokens:
                 raise IntegrityError(f"parent index {idx} out of range")
-            if wgt < -1e-12:
-                raise IntegrityError(f"negative parent share {wgt}")
+            if not np.isfinite(wgt) or wgt < -1e-12:
+                raise IntegrityError(f"parent share {wgt} is negative or not finite")
             total += wgt
         if abs(total - 1.0) > 1e-6:
             raise IntegrityError(f"parent shares sum to {total}, expected 1")
@@ -57,23 +57,9 @@ class PruneLedger:
     n_tokens: int
     events: list[PruneEvent] = field(default_factory=list)
 
-    def pruned_tokens(self, before_layer: int | None = None) -> np.ndarray:
-        """Tokens pruned strictly before the given block (all if None)."""
-        toks = [
-            e.token for e in self.events
-            if before_layer is None or e.layer < before_layer
-        ]
-        return np.array(sorted(toks), dtype=np.int64)
-
-    def survivors(self, during_layer: int | None = None) -> np.ndarray:
-        """Ascending original indices alive while the given block runs.
-
-        With None, the survivors after the whole schedule.
-        """
-        gone = set(
-            e.token for e in self.events
-            if during_layer is None or e.layer < during_layer
-        )
+    def survivors(self) -> np.ndarray:
+        """Ascending original indices alive after the whole schedule."""
+        gone = set(e.token for e in self.events)
         return np.array(
             [i for i in range(self.n_tokens) if i not in gone], dtype=np.int64
         )
@@ -81,8 +67,8 @@ class PruneLedger:
     def validate(self) -> None:
         if self.n_tokens < 1:
             raise IntegrityError("ledger needs n_tokens >= 1")
+        # O(events), never O(n_tokens): n_tokens may come from untrusted JSON
         seen: set[int] = set()
-        alive = set(range(self.n_tokens))
         last_layer = 0
         for e in self.events:
             e.validate(self.n_tokens)
@@ -90,16 +76,13 @@ class PruneLedger:
                 raise IntegrityError(f"token {e.token} pruned twice")
             if e.layer < last_layer:
                 raise IntegrityError("events out of chronological order")
-            alive.discard(e.token)
             for idx in e.parents:
-                if idx not in alive:
+                if idx in seen:
                     raise IntegrityError(
                         f"event for token {e.token} references dead parent {idx}"
                     )
             seen.add(e.token)
             last_layer = e.layer
-        if len(seen) + self.survivors().size != self.n_tokens:
-            raise IntegrityError("survivors plus pruned do not cover all tokens")
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,7 +113,8 @@ class PruneLedger:
                     for e in payload["events"]
                 ],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            # AttributeError: "parents" is not a mapping, e.g. a JSON list
             raise IntegrityError(f"malformed ledger payload: {exc}") from exc
         ledger.validate()
         return ledger
@@ -167,7 +151,7 @@ def prune_step(states: list[AttentionState], survivors: np.ndarray,
     if not states:
         raise UsageError("prune_step needs at least one block state")
     mask = states[-1].mask
-    if mask is None or mask.shape != (s, s):
+    if mask.shape != (s, s):
         raise UsageError(f"latest mask must be ({s}, {s}) over the survivors")
     if kept > s:
         raise UsageError(f"kept {kept} exceeds current count {s}")
@@ -209,7 +193,7 @@ def prune_step(states: list[AttentionState], survivors: np.ndarray,
         events.append(PruneEvent(
             layer=layer,
             token=int(survivors[v]),
-            gate=float(states[-1].cumulative_gate[v]) if states[-1].cumulative_gate is not None else 1.0,
+            gate=float(states[-1].cumulative_gate[v]),
             parents=_event_distribution(mask[:, v], local_alive, survivors),
         ))
         if parent[v] >= 0:
@@ -261,8 +245,6 @@ def expand_state_mask(state: AttentionState, ledger: PruneLedger) -> np.ndarray:
     outgoing column reinstated as cached gate times its recorded parent
     distribution, which preserves every column's total sent mass.
     """
-    if state.mask is None:
-        raise UsageError("state has no dependency mask")
     idx = state.token_indices
     n = ledger.n_tokens
     if idx.size != state.mask.shape[0]:
@@ -277,19 +259,3 @@ def expand_state_mask(state: AttentionState, ledger: PruneLedger) -> np.ndarray:
         for p, wgt in e.parents.items():
             full[p, e.token] = e.gate * wgt
     return full
-
-
-def expand_mask(mask: np.ndarray, ledger: PruneLedger, layer: int) -> np.ndarray:
-    """Full-size mask for a block given its local mask and the journal."""
-    if layer < 1:
-        raise UsageError(f"layer must be >= 1, got {layer}")
-    survivors = ledger.survivors(during_layer=layer)
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (survivors.size, survivors.size):
-        raise UsageError(
-            f"mask shape {mask.shape} does not match {survivors.size} survivors at layer {layer}"
-        )
-    state = AttentionState(
-        forward_attn=np.zeros((1,) + mask.shape), mask=mask, token_indices=survivors
-    )
-    return expand_state_mask(state, ledger)

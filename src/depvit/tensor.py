@@ -615,16 +615,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _record(out, (logits,), backward)
 
 
-def cumulative_product(factors: Sequence[Tensor]) -> list[Tensor]:
-    """Running elementwise products: out[i] = factors[0] * ... * factors[i]."""
-    if not factors:
-        raise UsageError("cumulative_product: empty sequence")
-    outs = [factors[0]]
-    for f in factors[1:]:
-        outs.append(mul(outs[-1], f))
-    return outs
-
-
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Normal samples clipped to two sigmas by resampling, then scaled by std."""
     x = rng.standard_normal(shape)

@@ -248,8 +248,6 @@ def received_mass(states: list[AttentionState], n_tokens: int | None = None) -> 
         n_tokens = int(max(int(st.token_indices.max()) for st in states) + 1)
     out = np.zeros(n_tokens, dtype=np.float64)
     for st in states:
-        if st.mask is None:
-            raise UsageError("block state has no dependency mask (forward direction?)")
         out[st.token_indices] += st.mask.sum(axis=1)
     return out
 
@@ -266,8 +264,6 @@ def aggregate_masks(states: list[AttentionState], ledger=None) -> np.ndarray:
     n = int(states[0].token_indices.size)
     full = []
     for st in states:
-        if st.mask is None:
-            raise UsageError("block state has no dependency mask (forward direction?)")
         if st.token_indices.size == n and (st.token_indices == np.arange(n)).all():
             full.append(st.mask)
         else:

@@ -65,22 +65,6 @@ def np_reverse_block(x, w, heads, gate_prev, temperature):
     return x_out, m, mask, probs, gate
 
 
-def np_plain_block(x, w, heads):
-    """Independently written standard pre-norm attention block."""
-    n, c = x.shape
-    ch = c // heads
-    xn = np_layer_norm(x, w["ln1_gain"], w["ln1_bias"])
-    q, k, v = xn @ w["w_q"], xn @ w["w_k"], xn @ w["w_v"]
-    outs = []
-    for h in range(heads):
-        qh, kh, vh = (t[:, h * ch:(h + 1) * ch] for t in (q, k, v))
-        a = np_softmax(qh @ kh.T / math.sqrt(ch))
-        outs.append(a @ vh)
-    x_mid = x + np.concatenate(outs, axis=-1) @ w["w_o"]
-    xn2 = np_layer_norm(x_mid, w["ln2_gain"], w["ln2_bias"])
-    return x_mid + np_gelu(xn2 @ w["ffn_w1"]) @ w["ffn_w2"]
-
-
 def make_block(rng, channels=16, heads=4, dtype=np.float64):
     bw = init_block_weights(channels, heads, rng, dtype=dtype)
     raw = {k: t.data.copy() for k, t in bw.named_tensors().items()}
@@ -155,19 +139,6 @@ class TestBlockForward:
         np.testing.assert_allclose(state.mask, ex_mask, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(state.head_probs, ex_probs, rtol=1e-10)
         np.testing.assert_allclose(state.gate, ex_gate, rtol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_forward_direction_matches_plain_block(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        bw, raw = make_block(rng)
-        x_np = rng.normal(size=(5, 16))
-        x = tn.tensor(x_np, dtype=np.float64)
-        gp = tn.tensor(np.ones(5), dtype=np.float64)
-        out, gate_cum, state = block_forward(x, bw, gp, direction="forward")
-        np.testing.assert_allclose(out.data, np_plain_block(x_np, raw, 4),
-                                   rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(gate_cum.data, np.ones(5))
-        assert state.mask is None and state.reversed_attn is None
 
     def test_gate_never_increases(self):
         rng = np.random.default_rng(5)

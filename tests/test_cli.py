@@ -1,9 +1,16 @@
 """End-to-end tests of the command-line interface via its run() entry."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import depvit
 
 from depvit.cli import run
 from depvit.evalkit import LabelGrid
@@ -253,6 +260,16 @@ class TestUsage:
         assert run(["parse", "--input", str(image), "--weights", str(bad),
                     "--config", str(cfg)]) == 2
 
+    def test_unrepresentable_input_shape_is_usage_error(self, workdir, tmp_path, capsys):
+        # one empty entry whose extents 0 x (2^32-1)^3 overflow numpy's size
+        d, cfg, weights, _ = workdir
+        bad = tmp_path / "bad.dvtn"
+        bad.write_bytes(b"DVTN" + struct.pack("<II", 1, 1) + struct.pack("<I", 6) + b"tokens"
+                        + struct.pack("<6I", 0, 4, 0, *(2**32 - 1,) * 3))
+        assert run(["parse", "--input", str(bad), "--weights", str(weights),
+                    "--config", str(cfg)]) == 2
+        assert "shape" in capsys.readouterr().err
+
     def test_determinism_across_invocations(self, workdir):
         d, cfg, weights, image = workdir
         o1, o2 = d / "a.json", d / "b.json"
@@ -260,3 +277,13 @@ class TestUsage:
             assert run(["parse", "--input", str(image), "--weights", str(weights),
                         "--config", str(cfg), "--out", str(o)]) == 0
         assert o1.read_text() == o2.read_text()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # part metrics import scipy.optimize on first use; importing the CLI
+    # must not pay for it
+    src = str(Path(depvit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, depvit.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

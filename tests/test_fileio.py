@@ -2,12 +2,16 @@
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from depvit.errors import ConfigError, FormatError, IntegrityError, UsageError
+from depvit.errors import ConfigError, DepvitError, FormatError, IntegrityError, UsageError
 from depvit.fileio import (
+    RunConfig,
     load_grid_values,
     load_weights,
     mask_from_json_dict,
@@ -26,6 +30,16 @@ from depvit.fileio import (
 )
 from depvit.model import ModelConfig, init_weights
 from depvit.tree import DependencyTree
+
+
+def container_header(count: int) -> bytes:
+    return b"DVTN" + struct.pack("<II", 1, count)
+
+
+def entry_header(name: str, code: int, shape) -> bytes:
+    raw = name.encode("utf-8")
+    return (struct.pack("<I", len(raw)) + raw + struct.pack("<II", code, len(shape))
+            + struct.pack(f"<{len(shape)}I", *shape))
 
 
 class TestContainer:
@@ -103,6 +117,20 @@ class TestContainer:
         with pytest.raises(FormatError) as err:
             read_container(p)
         assert "trailing" in str(err.value)
+
+    def test_empty_entry_with_overflowing_extents(self, tmp_path):
+        # zero payload bytes, but numpy cannot build a 0 x (2^32-1)^3 array
+        p = tmp_path / "x.dvtn"
+        p.write_bytes(container_header(1) + entry_header("a", 0, (0,) + (2**32 - 1,) * 3))
+        with pytest.raises(FormatError) as err:
+            read_container(p)
+        assert "shape" in str(err.value)
+
+    def test_empty_entries_round_trip(self, tmp_path):
+        p = tmp_path / "x.dvtn"
+        write_container(p, {"a": np.zeros((0, 3)), "b": np.zeros((2, 0, 5), dtype=np.float32)})
+        back = read_container(p)
+        assert back["a"].shape == (0, 3) and back["b"].shape == (2, 0, 5)
 
     def test_tokens_entry_helper(self, tmp_path):
         with pytest.raises(FormatError):
@@ -204,7 +232,6 @@ class TestRunConfig:
         assert (mc.channels, mc.heads, mc.layers) == (192, 12, 12)
         assert mc.tokens == 196
         assert mc.temperature == 0.1
-        assert cfg.beta2 == 0.3 and cfg.alpha == 1.0 and cfg.tau_affinity == 0.2
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -231,6 +258,19 @@ class TestRunConfig:
         cfg = parse_config("prune_layers=2,5,8,11\nkept_tokens=160,128,96,64")
         mc = cfg.to_model_config()
         assert mc.prune_schedule == ((2, 160), (5, 128), (8, 96), (11, 64))
+
+    @pytest.mark.parametrize("line", [
+        "temperature=nan", "temperature=inf", "temperature=-inf", "min_part_size=nan",
+    ])
+    def test_non_finite_floats_rejected(self, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(line)
+        assert "bad value" in str(err.value)
+
+    @pytest.mark.parametrize("line", ["heads=0", "heads=-4", "channels=0", "seed=-1"])
+    def test_degenerate_model_values_rejected(self, line):
+        with pytest.raises(ConfigError):
+            parse_config(line).to_model_config()
 
     def test_mismatched_schedule_lists(self):
         with pytest.raises(ConfigError):
@@ -276,6 +316,29 @@ class TestTreeJson:
         with pytest.raises(FormatError):
             tree_from_json_dict({"nodes": [{"id": 0}], "root": 0})
 
+    @pytest.mark.parametrize("field, index, value", [
+        ("root", None, 4),        # root out of range
+        ("root", None, -1),       # negative root must not wrap to the last node
+        ("id", 3, -1),            # negative id must not wrap to the last slot
+        ("id", 3, 0),             # duplicate id would leave slot 3 at its default
+        ("id", 3, 4),             # id out of range
+        ("parent", 0, 7),         # parent out of range
+    ])
+    def test_ids_root_and_parents_must_be_in_range(self, field, index, value):
+        d = tree_to_json_dict(self.tree())
+        if index is None:
+            d[field] = value
+        else:
+            d["nodes"][index][field] = value
+        with pytest.raises(FormatError):
+            tree_from_json_dict(d)
+
+    def test_nodes_may_come_in_any_order(self):
+        d = tree_to_json_dict(self.tree())
+        d["nodes"].reverse()
+        back = tree_from_json_dict(d)
+        np.testing.assert_array_equal(back.parent, self.tree().parent)
+
     def test_invalid_topology_rejected(self):
         d = tree_to_json_dict(self.tree())
         d["nodes"][1]["parent"] = 0  # two-node cycle, no root
@@ -310,3 +373,128 @@ class TestGridAndMaskJson:
         write_json(p, {"width": 3, "height": 1, "labels": [[0.5, 1.0]]})
         with pytest.raises(FormatError):
             load_grid_values(p)
+
+
+# -- readers under generated input -------------------------------------------
+# Every input either round-trips or raises a DepvitError, never anything else.
+
+_EXTENTS = st.sampled_from([0, 1, 2, 3, 2**31, 2**32 - 1])
+
+
+@st.composite
+def container_bytes(draw):
+    entries = draw(st.lists(
+        st.tuples(st.text(max_size=3), st.integers(0, 2), st.lists(_EXTENTS, max_size=4)),
+        max_size=3,
+    ))
+    buf = bytearray(container_header(len(entries)))
+    for name, code, shape in entries:
+        buf += entry_header(name, code, shape)
+        size = int(np.prod(shape, dtype=object)) * (8 if code else 4)
+        buf += draw(st.binary(min_size=min(size, 64), max_size=min(size, 64)))
+    for _ in range(draw(st.integers(0, 2))):
+        if not buf:
+            break
+        at = draw(st.integers(0, len(buf) - 1))
+        action = draw(st.sampled_from(["cut", "word", "byte", "append"]))
+        if action == "cut":
+            del buf[at:]
+        elif action == "word":
+            buf[at:at + 4] = struct.pack("<I", draw(_EXTENTS))
+        elif action == "byte":
+            buf[at] = draw(st.integers(0, 255))
+        else:
+            buf += draw(st.binary(min_size=1, max_size=8))
+    return bytes(buf)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**16) | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=5), kids, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def tree_payloads(draw):
+    """A valid tree, then possibly one field replaced by a nearby integer."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(n)))
+    parent = {order[0]: -1}
+    for k in range(1, n):
+        parent[order[k]] = order[draw(st.integers(0, k - 1))]
+    nodes = [
+        {"id": i, "parent": parent[i], "weight": draw(st.floats()),
+         "subtree": draw(st.integers(-1, 3))}
+        for i in draw(st.permutations(range(n)))
+    ]
+    d = {"nodes": nodes, "root": order[0]}
+    if draw(st.booleans()):
+        node = nodes[draw(st.integers(0, n - 1))]
+        key = draw(st.sampled_from(["id", "parent", "root"]))
+        target = d if key == "root" else node
+        target[key] = draw(st.integers(-2, n + 1) | _JSON)
+    return d
+
+
+def _config_value_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else repr(value)
+
+
+_CONFIG_KEYS = st.sampled_from([f.name for f in fields(RunConfig)] + ["beta2"])
+_CONFIG_VALUES = (
+    st.integers(-3, 300).map(str)
+    | st.floats().map(repr)
+    | st.lists(st.integers(-2, 20), max_size=3).map(lambda v: ",".join(map(str, v)))
+    | st.text(max_size=5)
+)
+_CONFIG_LINES = st.lists(
+    st.tuples(_CONFIG_KEYS, _CONFIG_VALUES).map("=".join)
+    | st.sampled_from(["", "# comment"])
+    | st.text(max_size=8),
+    max_size=6,
+    unique_by=lambda line: line.partition("=")[0].strip(),
+).map("\n".join)
+
+
+class TestReaderProperties:
+    @given(container_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_container_round_trips_or_fails_cleanly(self, tmp_path_factory, blob):
+        d = tmp_path_factory.mktemp("container")
+        src, again = d / "in.dvtn", d / "out.dvtn"
+        src.write_bytes(blob)
+        try:
+            entries = read_container(src)
+        except DepvitError:
+            return
+        write_container(again, entries)
+        assert again.read_bytes() == blob
+
+    @given(tree_payloads() | _JSON)
+    @settings(max_examples=200, deadline=None)
+    def test_tree_json_round_trips_or_fails_cleanly(self, payload):
+        try:
+            tree = tree_from_json_dict(payload)
+        except DepvitError:
+            return
+        for node in payload["nodes"]:
+            assert tree.parent[int(node["id"])] == int(node["parent"])
+        text = json.dumps(tree_to_json_dict(tree))
+        assert json.dumps(tree_to_json_dict(tree_from_json_dict(json.loads(text)))) == text
+
+    @given(_CONFIG_LINES)
+    @settings(max_examples=200, deadline=None)
+    def test_config_text_round_trips_or_fails_cleanly(self, text):
+        try:
+            cfg = parse_config(text)
+        except DepvitError:
+            return
+        again = "\n".join(
+            f"{f.name}={_config_value_text(getattr(cfg, f.name))}" for f in fields(cfg)
+        )
+        assert parse_config(again) == cfg
+        try:
+            cfg.to_model_config()
+        except DepvitError:
+            pass

@@ -171,7 +171,6 @@ class TestForward:
         assert res.pooled.shape == (1, 16)
         assert len(res.states) == 3
         for st in res.states:
-            assert st.forward_attn.shape == (4, 16, 16)
             assert st.mask.shape == (16, 16)
         assert res.ledger.events == []
         assert list(res.survivors) == list(range(16))

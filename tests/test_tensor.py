@@ -90,15 +90,6 @@ class TestForwardOracles:
         loss = T.cross_entropy(logits, [0, 1])
         assert loss.item() < 1e-20
 
-    def test_cumulative_product_matches_cumprod(self):
-        rng = np.random.default_rng(0)
-        fs = [randu(rng, (5,), 0.1, 1.0) for _ in range(6)]
-        outs = T.cumulative_product(fs)
-        stacked = np.stack([f.data for f in fs])
-        np.testing.assert_allclose(
-            np.stack([o.data for o in outs]), np.cumprod(stacked, axis=0), rtol=1e-12
-        )
-
     def test_gather_rows_and_slice(self):
         x = T.tensor(np.arange(12.0).reshape(4, 3), dtype=np.float64)
         g = T.gather_rows(x, [2, 0, 2])
@@ -293,20 +284,6 @@ class TestGradients:
             return T.cross_entropy(ts[0], [0, 3, 1, 4])
 
         assert T.grad_check(f, [logits]).max_rel_error < 1e-8
-
-    def test_cumulative_product_grad(self):
-        rng = np.random.default_rng(9)
-        fs = [randu(rng, (4,), 0.2, 0.9) for _ in range(4)]
-
-        def f(ts):
-            outs = T.cumulative_product(list(ts))
-            total = outs[0]
-            for o in outs[1:]:
-                total = T.add(total, o)
-            sq = T.mul(total, total)
-            return T.sum_over_axis(sq, 0)
-
-        assert T.grad_check(f, fs).max_rel_error < 1e-8
 
     def test_shared_input_used_twice(self):
         # x appearing in two operands must accumulate both contributions

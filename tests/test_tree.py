@@ -22,8 +22,7 @@ def state_for(mask, indices=None):
     n = mask.shape[0]
     idx = np.arange(n) if indices is None else np.asarray(indices)
     return AttentionState(
-        forward_attn=np.zeros((1, n, n)), mask=mask,
-        token_indices=idx.astype(np.int64),
+        mask=mask, cumulative_gate=np.ones(n), token_indices=idx.astype(np.int64),
     )
 
 
