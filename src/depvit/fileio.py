@@ -357,7 +357,7 @@ def mask_from_json_dict(d: dict) -> np.ndarray:
         arr = np.asarray(d["data"], dtype=np.float64)
         if list(arr.shape) != list(d["shape"]):
             raise FormatError("mask data disagrees with declared shape", offset=0)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed mask JSON: {exc}", offset=0) from exc
     return arr
 
@@ -379,7 +379,7 @@ def load_grid_values(path) -> np.ndarray:
             raise FormatError("grid labels disagree with declared size", offset=0)
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed grid JSON: {exc}", offset=0) from exc
     return arr
 

@@ -56,8 +56,8 @@ class ModelConfig:
             raise ConfigError("channels must be even")
         if self.layers < 0:
             raise ConfigError("layers must be non-negative")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
+        if not 0 < self.temperature < np.inf:  # NaN fails both comparisons
+            raise ConfigError("temperature must be positive and finite")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
         if self.seed < 0:

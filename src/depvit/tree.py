@@ -2,9 +2,11 @@
 
 A mask entry mask[j][i] is the mass token i sends to candidate parent j.
 Tree recovery treats that as the weight of attaching child i under parent j
-and finds the maximum spanning arborescence with a virtual root whose edge
-to node i is scored by i's total received mass.  All argmax tie-breaks pick
-the lowest index so results are reproducible across runs.
+and finds the maximum spanning arborescence with exactly one root, where
+making node i the root scores i's total received mass.  One iterative
+contraction pass enforces the single root (Gabow & Tarjan 1984; Zmigrod,
+Vieira & Cotterell 2020).  Every argmax picks the lowest index, so exactly
+tied optima resolve the same way on every run.
 """
 
 from __future__ import annotations
@@ -105,98 +107,74 @@ def argmax_graph(mask: np.ndarray) -> np.ndarray:
     return np.argmax(w, axis=0).astype(np.int64)
 
 
-def _find_cycle(parent: np.ndarray) -> np.ndarray | None:
-    """One directed cycle in a parent assignment, or None; root edges are -1."""
-    m = parent.size
-    color = np.zeros(m, dtype=np.int8)  # 0 new, 1 on current walk, 2 done
-    for s in range(m):
-        if color[s] != 0:
-            continue
-        walk = []
-        v = s
-        while v != -1 and color[v] == 0:
-            color[v] = 1
-            walk.append(v)
-            v = int(parent[v])
-        if v != -1 and color[v] == 1:
-            at = walk.index(v)
-            for u in walk:
-                color[u] = 2
-            return np.sort(np.array(walk[at:], dtype=np.int64))
-        for u in walk:
-            color[u] = 2
-    return None
+def _find_cycle(parent: np.ndarray) -> np.ndarray:
+    """The cycle reached by following parents from node 0; every node has a parent."""
+    parent = parent.tolist()
+    seen_at: dict[int, int] = {}
+    v = 0
+    while v not in seen_at:
+        seen_at[v] = len(seen_at)
+        v = parent[v]
+    walk = list(seen_at)
+    return np.sort(np.array(walk[seen_at[v]:], dtype=np.int64))
 
 
-def _max_arborescence(w: np.ndarray) -> np.ndarray:
-    """Greedy-contract-recurse search for the best parents; node 0 is the root.
+def _max_arborescence(w: np.ndarray, root_w: np.ndarray) -> np.ndarray:
+    """Best parents with exactly one root, in one contraction pass.
 
-    ``w[p][c]`` scores edge p -> c; forbidden edges are -inf.  Each recursion
-    contracts one cycle of the greedy solution into a supernode, rescores
-    entering edges by how much they improve on the cycle edge they replace,
-    and expands the recursive answer back out.
+    ``w[p][c]`` scores edge p -> c and ``root_w[c]`` makes c the root.  While
+    two or more (super)nodes remain, each takes its greedy parent among the
+    others; that graph always holds a cycle, which is contracted into a
+    supernode whose entering edges (its root edge included) are rescored by
+    how much they improve on the cycle edge they replace.  The last node left
+    takes its root edge, and the levels are expanded back out.  Root edges are
+    only ever compared with each other, so the single-root constraint needs no
+    penalty constant and no second solve.
     """
-    m = w.shape[0]
-    parent = np.full(m, -1, dtype=np.int64)
-    for c in range(1, m):
-        parent[c] = int(np.argmax(w[:, c]))
-    cyc = _find_cycle(parent)
-    if cyc is None:
-        return parent
+    levels = []
+    while w.shape[0] > 1:
+        parent = argmax_graph(w)
+        cyc = _find_cycle(parent)
+        keep = np.setdiff1d(np.arange(w.shape[0]), cyc)
+        k = keep.size
+        cycle_cost = w[parent[cyc], cyc]
+        enter = w[np.ix_(keep, cyc)] - cycle_cost
+        leave = w[np.ix_(cyc, keep)]
+        root_gain = root_w[cyc] - cycle_cost
+        levels.append((
+            parent, keep, cyc[enter.argmax(axis=1)], cyc[leave.argmax(axis=0)],
+            cyc[root_gain.argmax()],
+        ))
+        sub = np.empty((k + 1, k + 1))
+        sub[:k, :k] = w[np.ix_(keep, keep)]
+        sub[:k, k] = enter.max(axis=1)
+        sub[k, :k] = leave.max(axis=0)
+        sub[k, k] = _NEG
+        w = sub
+        root_w = np.append(root_w[keep], root_gain.max())
 
-    in_cycle = np.zeros(m, dtype=bool)
-    in_cycle[cyc] = True
-    keep = np.where(~in_cycle)[0]  # node 0 can never sit on a cycle
-    k = keep.size
-    new_of_old = np.full(m, -1, dtype=np.int64)
-    new_of_old[keep] = np.arange(k)
-    sup = k  # contracted supernode index
-
-    wp = np.full((k + 1, k + 1), _NEG)
-    wp[:k, :k] = w[np.ix_(keep, keep)]
-    # entering edges: replacing the cycle edge into v costs its weight back
-    cycle_cost = w[parent[cyc], cyc]
-    red = w[np.ix_(keep, cyc)] - cycle_cost[None, :]
-    wp[:k, sup] = red.max(axis=1)
-    enter_choice = cyc[np.argmax(red, axis=1)]
-    # leaving edges: best cycle member to parent each outside node
-    lv = w[np.ix_(cyc, keep)]
-    wp[sup, :k] = lv.max(axis=0)
-    leave_choice = cyc[np.argmax(lv, axis=0)]
-
-    sub = _max_arborescence(wp)
-
-    out = np.full(m, -1, dtype=np.int64)
-    for v in cyc:
-        out[v] = parent[v]  # cycle edges kept by default
-    for pos, v in enumerate(keep):
-        p = sub[pos]
-        if p == -1:
-            out[v] = -1
-        elif p == sup:
-            out[v] = leave_choice[pos]
+    out = np.array([-1], dtype=np.int64)
+    for parent, keep, enter_at, leave_from, root_at in reversed(levels):
+        k = keep.size
+        sub_parent, sup_parent = out[:k], out[k]
+        out = parent.copy()  # cycle edges kept, except where the cycle is entered
+        lifted = np.append(keep, -1)[sub_parent]  # the root's -1 stays -1
+        out[keep] = np.where(sub_parent == k, leave_from, lifted)
+        if sup_parent == -1:
+            out[root_at] = -1
         else:
-            out[v] = keep[p]
-    enter_from = sub[sup]
-    if enter_from == -1:
-        raise IntegrityError("contracted supernode has no parent")
-    u = keep[enter_from]
-    out[enter_choice[enter_from]] = u  # break the cycle at the entered node
+            out[enter_at[sup_parent]] = keep[sup_parent]
     return out
 
 
-def _score_of(parent: np.ndarray, w: np.ndarray) -> float:
-    cs = np.arange(1, parent.size)
-    return float(w[parent[cs], cs].sum())
-
-
 def chu_liu_edmonds(scores: np.ndarray, root_scores: np.ndarray) -> DependencyTree:
-    """Maximum spanning arborescence with exactly one child of the virtual root.
+    """Maximum spanning arborescence with exactly one root, in a single solve.
 
     ``scores[p][c]`` is the gain of attaching c under p; ``root_scores[c]``
-    the gain of making c the tree root.  If the unconstrained optimum hangs
-    more than one node off the virtual root, each candidate root is tried
-    with the others disabled and the best total wins (lowest index on ties).
+    the gain of making c the tree root.  The root constraint is enforced
+    inside the contraction pass (see ``_max_arborescence``).  On exactly tied
+    optima every argmax takes the lowest index: the greedy parent, and the
+    cycle member entered, left or rooted when a contracted cycle is expanded.
     """
     scores = np.asarray(scores, dtype=np.float64)
     root_scores = np.asarray(root_scores, dtype=np.float64)
@@ -207,35 +185,11 @@ def chu_liu_edmonds(scores: np.ndarray, root_scores: np.ndarray) -> DependencyTr
         raise UsageError(f"scores must be ({n}, {n}), got {scores.shape}")
     if not (np.isfinite(scores).all() and np.isfinite(root_scores).all()):
         raise NumericError("tree induction requires finite scores")
-    if n == 1:
-        return DependencyTree(parent=np.array([-1]), edge_weight=root_scores.copy(), root=0)
 
-    w = np.full((n + 1, n + 1), _NEG)
-    w[0, 1:] = root_scores
-    w[1:, 1:] = scores
-    np.fill_diagonal(w, _NEG)
-    w[1:, 0] = _NEG
-
-    parent = _max_arborescence(w)
-    root_children = np.where(parent[1:] == 0)[0]
-    if root_children.size != 1:
-        best_total, best_parent = _NEG, None
-        for r in range(n):
-            wr = w.copy()
-            wr[0, 1:] = _NEG
-            wr[0, r + 1] = root_scores[r]
-            pr = _max_arborescence(wr)
-            total = _score_of(pr, wr)
-            if total > best_total:
-                best_total, best_parent = total, pr
-        parent = best_parent
-
-    real_parent = parent[1:] - 1  # virtual root edges become -1
-    root = int(np.where(real_parent == -1)[0][0])
-    weight = np.empty(n, dtype=np.float64)
-    for c in range(n):
-        weight[c] = root_scores[c] if real_parent[c] == -1 else scores[real_parent[c], c]
-    tree = DependencyTree(parent=real_parent, edge_weight=weight, root=root)
+    parent = _max_arborescence(scores, root_scores)
+    root = int(np.flatnonzero(parent == -1)[0])
+    weight = np.where(parent == -1, root_scores, scores[parent, np.arange(n)])
+    tree = DependencyTree(parent=parent, edge_weight=weight, root=root)
     tree.validate()
     return tree
 

@@ -125,6 +125,23 @@ class TestParse:
         payload = json.loads(capsys.readouterr().out)
         assert "nodes" in payload
 
+    def test_tree_at_paper_geometry(self, tmp_path):
+        # 224 px in 16 px patches: the paper's 14 x 14 grid of 196 tokens
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("image_size=64", "image_size=224"))
+        mc = ModelConfig(image_size=224, patch_size=16, channels=16, heads=4,
+                         layers=2, num_classes=3, seed=1)
+        weights = tmp_path / "w.dvtn"
+        save_weights(weights, init_weights(mc))
+        image = tmp_path / "x.ppm"
+        write_ppm(image, np.random.default_rng(0).random((224, 224, 3)))
+        out = tmp_path / "tree.json"
+        assert run(["parse", "--input", str(image), "--weights", str(weights),
+                    "--config", str(cfg), "--out", str(out)]) == 0
+        tree = tree_from_json_dict(json.loads(out.read_text()))
+        assert tree.size == 196
+        tree.validate()
+
 
 class TestPrune:
     def test_ledger_and_dense_tokens(self, workdir, tmp_path):
@@ -269,6 +286,15 @@ class TestUsage:
         assert run(["parse", "--input", str(bad), "--weights", str(weights),
                     "--config", str(cfg)]) == 2
         assert "shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"width": 2, "height": 1e400, "labels": [[0, 1]]}',
+        '{"width": 2, "height": 1, "labels": [[0, 1%s]]}' % ("0" * 400),
+    ])
+    def test_overflowing_grid_is_usage_error(self, tmp_path, text):
+        p = tmp_path / "g.json"
+        p.write_text(text)
+        assert run(["eval-parts", "--pred", str(p), "--gt", str(p)]) == 2
 
     def test_determinism_across_invocations(self, workdir):
         d, cfg, weights, image = workdir

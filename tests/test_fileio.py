@@ -374,11 +374,34 @@ class TestGridAndMaskJson:
         with pytest.raises(FormatError):
             load_grid_values(p)
 
+    def test_mask_overflow_is_format_error(self):
+        with pytest.raises(FormatError):
+            mask_from_json_dict(json.loads('{"shape": [1], "data": [1%s]}' % ("0" * 400)))
+
 
 # -- readers under generated input -------------------------------------------
 # Every input either round-trips or raises a DepvitError, never anything else.
 
 _EXTENTS = st.sampled_from([0, 1, 2, 3, 2**31, 2**32 - 1])
+
+
+def _damage(draw, buf: bytearray, words) -> bytes:
+    """Up to two cuts, byte flips, word overwrites or appended bytes."""
+    for _ in range(draw(st.integers(0, 2))):
+        if not buf:
+            break
+        at = draw(st.integers(0, len(buf) - 1))
+        action = draw(st.sampled_from(["cut", "word", "byte", "append"]))
+        if action == "cut":
+            del buf[at:]
+        elif action == "word":
+            word = draw(words)
+            buf[at:at + len(word)] = word
+        elif action == "byte":
+            buf[at] = draw(st.integers(0, 255))
+        else:
+            buf += draw(st.binary(min_size=1, max_size=8))
+    return bytes(buf)
 
 
 @st.composite
@@ -392,20 +415,21 @@ def container_bytes(draw):
         buf += entry_header(name, code, shape)
         size = int(np.prod(shape, dtype=object)) * (8 if code else 4)
         buf += draw(st.binary(min_size=min(size, 64), max_size=min(size, 64)))
-    for _ in range(draw(st.integers(0, 2))):
-        if not buf:
-            break
-        at = draw(st.integers(0, len(buf) - 1))
-        action = draw(st.sampled_from(["cut", "word", "byte", "append"]))
-        if action == "cut":
-            del buf[at:]
-        elif action == "word":
-            buf[at:at + 4] = struct.pack("<I", draw(_EXTENTS))
-        elif action == "byte":
-            buf[at] = draw(st.integers(0, 255))
-        else:
-            buf += draw(st.binary(min_size=1, max_size=8))
-    return bytes(buf)
+    return _damage(draw, buf, _EXTENTS.map(lambda v: struct.pack("<I", v)))
+
+
+_PPM_WORDS = st.sampled_from([b"0", b"-1", b"65535", b"9" * 30, b"1_0", b"#", b"P5", b"\n"])
+
+
+@st.composite
+def ppm_bytes(draw):
+    """A valid P6 image, then possibly damaged."""
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gap = st.sampled_from(["\n", " ", "\t", " # note\n"])
+    end = draw(st.sampled_from(["\n", " "]))  # exactly one byte before the pixels
+    header = f"P6{draw(gap)}{w}{draw(gap)}{h}{draw(gap)}255{end}"
+    buf = bytearray(header.encode()) + draw(st.binary(min_size=h * w * 3, max_size=h * w * 3))
+    return _damage(draw, buf, _PPM_WORDS)
 
 
 _JSON = st.recursive(
@@ -434,6 +458,32 @@ def tree_payloads(draw):
         key = draw(st.sampled_from(["id", "parent", "root"]))
         target = d if key == "root" else node
         target[key] = draw(st.integers(-2, n + 1) | _JSON)
+    return d
+
+
+_HUGE = st.integers(10**399, 10**401)
+_ENTRY = st.floats() | st.integers(-3, 5) | _HUGE
+
+
+@st.composite
+def mask_payloads(draw):
+    """A square mask as written, then possibly one field replaced."""
+    n = draw(st.integers(1, 3))
+    data = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+    d = {"shape": [n, n], "data": data}
+    if draw(st.booleans()):
+        d[draw(st.sampled_from(["shape", "data"]))] = draw(_HUGE | _JSON)
+    return d
+
+
+@st.composite
+def grid_payloads(draw):
+    """A soft label grid as written, then possibly one field replaced."""
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    labels = draw(st.lists(st.lists(_ENTRY, min_size=w, max_size=w), min_size=h, max_size=h))
+    d = {"width": w, "height": h, "labels": labels}
+    if draw(st.booleans()):
+        d[draw(st.sampled_from(["width", "height", "labels"]))] = draw(_HUGE | _JSON)
     return d
 
 
@@ -498,3 +548,40 @@ class TestReaderProperties:
             cfg.to_model_config()
         except DepvitError:
             pass
+
+    @given(ppm_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_ppm_round_trips_or_fails_cleanly(self, tmp_path_factory, blob):
+        d = tmp_path_factory.mktemp("ppm")
+        src, again = d / "in.ppm", d / "out.ppm"
+        src.write_bytes(blob)
+        try:
+            img = read_ppm(src)
+        except DepvitError:
+            return
+        write_ppm(again, img)
+        np.testing.assert_array_equal(read_ppm(again), img)
+
+    @given(mask_payloads() | _JSON)
+    @settings(max_examples=200, deadline=None)
+    def test_mask_json_round_trips_or_fails_cleanly(self, payload):
+        try:
+            mask = mask_from_json_dict(json.loads(json.dumps(payload)))
+        except DepvitError:
+            return
+        back = mask_from_json_dict(json.loads(json.dumps(mask_to_json_dict(mask))))
+        np.testing.assert_array_equal(back, mask)
+
+    @given(grid_payloads() | _JSON)
+    @settings(max_examples=200, deadline=None)
+    def test_grid_json_round_trips_or_fails_cleanly(self, tmp_path_factory, payload):
+        d = tmp_path_factory.mktemp("grid")
+        src, again = d / "in.json", d / "out.json"
+        src.write_text(json.dumps(payload))
+        try:
+            values = load_grid_values(src)
+        except DepvitError:
+            return
+        height, width = values.shape
+        write_json(again, {"width": width, "height": height, "labels": values.tolist()})
+        np.testing.assert_array_equal(load_grid_values(again), values)

@@ -60,6 +60,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(prune_schedule=((1, 17),))
 
+    @pytest.mark.parametrize("temperature", [0.0, -0.1, float("nan"), float("inf")])
+    def test_temperature_must_be_positive_and_finite(self, temperature):
+        with pytest.raises(ConfigError):
+            small_config(temperature=temperature)
+
     def test_presets(self):
         t = tiny()
         assert (t.channels, t.heads, t.layers, t.tokens) == (192, 12, 12, 196)

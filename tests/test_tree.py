@@ -1,5 +1,7 @@
 """Tree induction against exhaustive enumeration and hand-worked cases."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -111,9 +113,44 @@ class TestChuLiuEdmonds:
         scaled = chu_liu_edmonds(7.5 * scores, 7.5 * roots)
         np.testing.assert_array_equal(base.parent, scaled.parent)
 
-    def test_forced_root_retry_path(self):
-        # Root scores dominate every real edge, so the unconstrained pass
-        # hangs both nodes off the virtual root and the retry must pick one.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_tied_integer_scores_match_brute_force(self, n):
+        # scores and roots in {0, 1, 2}: most instances have several optima
+        rng = np.random.default_rng(2000 + n)
+        for _ in range(60):
+            scores = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+            roots = rng.integers(0, 3, size=n).astype(np.float64)
+            tree = chu_liu_edmonds(scores, roots)
+            tree.validate()
+            best, _, _ = brute_best_arborescence(scores, roots)
+            assert tree.total_score() == best
+            again = chu_liu_edmonds(scores, roots)
+            np.testing.assert_array_equal(again.parent, tree.parent)
+
+    def test_tie_rule_two_node_root_tie(self):
+        # both roots total 2; the 2-cycle takes its root edge at member 0
+        tree = chu_liu_edmonds(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2))
+        np.testing.assert_array_equal(tree.parent, [-1, 0])
+
+    def test_tie_rule_all_zero_scores(self):
+        # greedy parents 0 <-> 1 and 2 -> 0; the cycle {0, 1} is entered
+        # from 2 at member 0, then {2, {0, 1}} is a cycle whose root edge
+        # goes to its lowest member, 2
+        tree = chu_liu_edmonds(np.zeros((3, 3)), np.zeros(3))
+        assert tree.root == 2
+        np.testing.assert_array_equal(tree.parent, [2, 0, -1])
+
+    def test_tie_rule_all_one_scores(self):
+        # {0, 1} contracts first, then {2, 3}; the pair of supernodes gives
+        # its root edge to the first, {0, 1}, rooted at member 0, and 0
+        # enters {2, 3} at member 2
+        tree = chu_liu_edmonds(np.ones((4, 4)), np.ones(4))
+        np.testing.assert_array_equal(tree.parent, [-1, 0, 0, 2])
+        assert tree.total_score() == 4.0
+
+    def test_root_scores_dominating_every_edge_keep_one_root(self):
+        # Root scores dominate every real edge, yet only one node may hang
+        # off the virtual root.
         scores = np.array([[0.0, 0.1], [0.1, 0.0]])
         roots = np.array([5.0, 4.99])
         tree = chu_liu_edmonds(scores, roots)
@@ -127,6 +164,19 @@ class TestChuLiuEdmonds:
         from depvit import NumericError
         with pytest.raises(NumericError):
             chu_liu_edmonds(np.array([[np.inf, 1], [1, 0]]), np.array([1.0, 1.0]))
+
+    def test_mutual_pairs_at_1024_tokens(self):
+        # 512 mutual pairs make the greedy graph 512 two-cycles, so the pass
+        # contracts over 500 levels; every pair keeps one of its own edges
+        n = 1024
+        mask = 0.01 * np.random.default_rng(7).uniform(size=(n, n))
+        even = np.arange(0, n, 2)
+        mask[even, even + 1] = mask[even + 1, even] = 1.0
+        t0 = time.monotonic()
+        tree = induce_tree(mask)
+        assert time.monotonic() - t0 < 60.0
+        tree.validate()
+        assert ((tree.parent[even] == even + 1) | (tree.parent[even + 1] == even)).all()
 
 
 class TestDependencyTreeInvariants:
