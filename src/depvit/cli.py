@@ -134,8 +134,6 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.tolerance <= 0:
-        raise UsageError("--tolerance must be positive")
     rng = np.random.default_rng(args.seed)
     n, c, h = 6, 8, 2
     weights = init_block_weights(c, h, rng, dtype=np.float64)

@@ -145,38 +145,20 @@ def part_metrics(pred: LabelGrid, gt: LabelGrid) -> MetricReport:
     pv = pred.labels.ravel()
     gv = gt.labels.ravel()
     valid = (pv >= 0) & (gv >= 0)
-    pv, gv = pv[valid], gv[valid]
-    gt_ids = np.unique(gv)
-    pred_ids = np.unique(pv)
+    pred_ids, pi = np.unique(pv[valid], return_inverse=True)
+    gt_ids, gi = np.unique(gv[valid], return_inverse=True)
     if gt_ids.size == 0:
         return MetricReport()
-    scores = np.zeros((pred_ids.size, gt_ids.size))
-    for a, pid in enumerate(pred_ids):
-        pm = pv == pid
-        for b, gid in enumerate(gt_ids):
-            gm = gv == gid
-            inter = np.count_nonzero(pm & gm)
-            union = np.count_nonzero(pm | gm)
-            scores[a, b] = inter / union if union else 0.0
-    raw = hungarian_match(scores)
-    matching = [
-        (int(pred_ids[a]), int(gt_ids[b])) for a, b in raw if scores[a, b] > 0.0
-    ]
-    matched = {gid: pid for pid, gid in matching}
-    iou_sum = 0.0
-    acc_sum = 0.0
-    for gid in gt_ids:
-        gm = gv == gid
-        if int(gid) in matched:
-            pm = pv == matched[int(gid)]
-            inter = np.count_nonzero(pm & gm)
-            union = np.count_nonzero(pm | gm)
-            iou_sum += inter / union
-            acc_sum += inter / np.count_nonzero(gm)
+    p, g = pred_ids.size, gt_ids.size
+    inter = np.bincount(pi * g + gi, minlength=p * g).reshape(p, g)
+    gt_size = inter.sum(axis=0)
+    scores = inter / (inter.sum(axis=1)[:, None] + gt_size[None, :] - inter)
+    pairs = [(a, b) for a, b in hungarian_match(scores) if scores[a, b] > 0.0]
+    ref_order = sorted(pairs, key=lambda ab: ab[1])
     report = MetricReport(
-        miou=iou_sum / gt_ids.size,
-        macc=acc_sum / gt_ids.size,
-        matching=matching,
+        miou=sum(float(scores[a, b]) for a, b in ref_order) / g,
+        macc=sum(float(inter[a, b] / gt_size[b]) for a, b in ref_order) / g,
+        matching=[(int(pred_ids[a]), int(gt_ids[b])) for a, b in pairs],
     )
     report.validate()
     return report
@@ -256,13 +238,16 @@ def kmeans_parts(tokens: np.ndarray, k: int, seed: int = 0) -> LabelGrid:
     return LabelGrid.from_labels(labels.reshape(side, side))
 
 
-def fiedler_vector(affinity: np.ndarray, residual_tol: float = 1e-8,
-                   max_iters: int = 10_000) -> np.ndarray:
+def fiedler_vector(affinity: np.ndarray) -> np.ndarray:
     """Second-smallest generalized eigenvector of (D - W, D), unit norm.
 
-    Works on the symmetric normalized form: the known null direction is
-    deflated out and the next eigenvector found by inverse power iteration.
+    Solved with scipy's dense symmetric eigensolver on the normalized
+    Laplacian and mapped back through D^{-1/2}; the entry of largest
+    magnitude is made positive.
     """
+    # Imported here, not at module level: only saliency needs it.
+    from scipy.linalg import eigh
+
     w = np.asarray(affinity, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeError("affinity must be square")
@@ -277,39 +262,15 @@ def fiedler_vector(affinity: np.ndarray, residual_tol: float = 1e-8,
     inv_sqrt = 1.0 / np.sqrt(deg)
     lap = np.eye(n) - (inv_sqrt[:, None] * w * inv_sqrt[None, :])
     lap = 0.5 * (lap + lap.T)
-    null_dir = np.sqrt(deg)
-    null_dir /= np.linalg.norm(null_dir)
-    # push the known zero eigenvalue out of the way, then the smallest
-    # eigenvalue of the shifted operator is the one we want
-    shifted = lap + 2.0 * np.outer(null_dir, null_dir)
-
-    vec = np.arange(n, dtype=np.float64) - (n - 1) / 2.0
-    vec -= null_dir * (null_dir @ vec)
-    if np.linalg.norm(vec) < 1e-12:
-        vec = np.random.default_rng(0).standard_normal(n)
-        vec -= null_dir * (null_dir @ vec)
-    vec /= np.linalg.norm(vec)
-
-    for _ in range(max_iters):
-        try:
-            nxt = np.linalg.solve(shifted, vec)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigen iteration broke down: {exc}") from exc
-        nxt -= null_dir * (null_dir @ nxt)
-        norm = np.linalg.norm(nxt)
-        if norm < 1e-300:
-            raise NumericError("eigen iteration collapsed to zero")
-        vec = nxt / norm
-        lam = float(vec @ lap @ vec)
-        if np.linalg.norm(lap @ vec - lam * vec) <= residual_tol:
-            out = inv_sqrt * vec
-            out /= np.linalg.norm(out)
-            if out[int(np.argmax(np.abs(out)))] < 0:
-                out = -out
-            return out
-    raise NumericError(
-        f"eigen iteration missed {residual_tol} residual in {max_iters} steps"
-    )
+    try:
+        _, vecs = eigh(lap, subset_by_index=[1, 1])
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: overflow to inf
+        raise NumericError(f"eigensolver failed: {exc}") from exc
+    out = inv_sqrt * vecs[:, 0]
+    out /= np.linalg.norm(out)
+    if out[int(np.argmax(np.abs(out)))] < 0:
+        out = -out
+    return out
 
 
 def token_affinity(tokens: np.ndarray, tau_aff: float = 0.2,
@@ -364,6 +325,8 @@ def saliency_metrics(pred, gt, beta2: float = 0.3) -> MetricReport:
         raise ShapeError("prediction and reference masks differ in shape")
     if p.min() < 0.0 or p.max() > 1.0:
         raise UsageError("soft prediction must lie in [0, 1]")
+    if not 0.0 <= beta2 < math.inf:  # NaN fails both comparisons
+        raise UsageError(f"beta2 {beta2} must be finite and >= 0")
     g = g.astype(bool).ravel()
     p = p.ravel()
 

@@ -137,14 +137,16 @@ def _event_distribution(column: np.ndarray, local_alive: np.ndarray,
 
 
 def prune_step(states: list[AttentionState], survivors: np.ndarray,
-               kept: int, layer: int | None = None) -> tuple[np.ndarray, list[PruneEvent]]:
+               kept: int) -> tuple[np.ndarray, list[PruneEvent]]:
     """Shrink the survivor set to ``kept`` tokens after the latest block.
 
-    Leaves of the current argmax graph are ranked by cumulative received
-    mass (lowest first, index breaking ties) and removed one by one; when
-    the ranked leaves run out, the leaf set is re-derived from the not yet
-    removed tokens.  Non-leaves are never removed, so if the graph's cycles
-    alone exceed ``kept`` the step fails rather than break the guarantee.
+    Tokens leave in leaf rounds.  Each round takes the alive tokens with no
+    alive child in the current argmax graph, ranks them by cumulative
+    received mass (lowest first, original index breaking ties) and removes
+    them in that order until ``kept`` is reached; tokens that became leaves
+    during a round wait for the next one.  Non-leaves are never removed, so
+    if the graph's cycles alone exceed ``kept`` the step fails rather than
+    break the guarantee.  Events are tagged with layer ``len(states)``.
     """
     survivors = np.asarray(survivors, dtype=np.int64)
     s = survivors.size
@@ -160,53 +162,46 @@ def prune_step(states: list[AttentionState], survivors: np.ndarray,
     if kept == s:
         return survivors.copy(), []
 
-    n_tokens = int(max(int(st.token_indices.max()) for st in states) + 1)
-    scores = received_mass(states, n_tokens)[survivors]
+    scores = received_mass(states)[survivors]
     parent = argmax_graph(mask)
-    if layer is None:
-        layer = len(states)  # states list ends with the block just finished
-
-    child_count = np.bincount(parent[parent >= 0], minlength=s)
+    child_count = np.bincount(parent, minlength=s)  # s >= 2: every token has a parent
     alive = np.ones(s, dtype=bool)
+    remaining = s
     events: list[PruneEvent] = []
-    queue: list[int] = []
-
-    def refill() -> None:
-        leaves = np.where(alive & (child_count == 0))[0]
-        order = np.lexsort((survivors[leaves], scores[leaves]))
-        queue.extend(int(v) for v in leaves[order])
-
-    refill()
-    while int(alive.sum()) > kept:
-        while queue and not alive[queue[0]]:
-            queue.pop(0)
-        if not queue:
-            refill()
-            if not queue:
-                raise IntegrityError(
-                    "argmax-graph cycles leave no prunable leaf; cannot reach kept count"
-                )
-            continue
-        v = queue.pop(0)
-        alive[v] = False
-        local_alive = np.where(alive)[0]
-        events.append(PruneEvent(
-            layer=layer,
-            token=int(survivors[v]),
-            gate=float(states[-1].cumulative_gate[v]),
-            parents=_event_distribution(mask[:, v], local_alive, survivors),
-        ))
-        if parent[v] >= 0:
+    while remaining > kept:
+        leaves = np.flatnonzero(alive & (child_count == 0))
+        if leaves.size == 0:
+            raise IntegrityError(
+                "argmax-graph cycles leave no prunable leaf; cannot reach kept count"
+            )
+        for v in leaves[np.lexsort((survivors[leaves], scores[leaves]))][:remaining - kept]:
+            alive[v] = False
+            remaining -= 1
+            events.append(PruneEvent(
+                layer=len(states),
+                token=int(survivors[v]),
+                gate=float(states[-1].cumulative_gate[v]),
+                parents=_event_distribution(mask[:, v], np.flatnonzero(alive), survivors),
+            ))
             child_count[parent[v]] -= 1
 
     return survivors[alive], events
+
+
+def _parent_arrays(e: PruneEvent) -> tuple[np.ndarray, np.ndarray]:
+    """An event's parent indices and shares, in journal order."""
+    n = len(e.parents)
+    return (np.fromiter(e.parents.keys(), dtype=np.int64, count=n),
+            np.fromiter(e.parents.values(), dtype=np.float64, count=n))
 
 
 def retrieve_dense(final_tokens: np.ndarray, ledger: PruneLedger) -> np.ndarray:
     """Rebuild an n_tokens x C matrix by replaying prune events backwards.
 
     Survivor rows are copied; each pruned token is reconstructed as the
-    recorded convex combination of its (already reconstructed) parents.
+    recorded convex combination of its parents.  A validated ledger names
+    only parents that survive or leave later, so the reverse replay has
+    always rebuilt them already.
     """
     ledger.validate()
     if isinstance(final_tokens, Tensor):
@@ -218,23 +213,14 @@ def retrieve_dense(final_tokens: np.ndarray, ledger: PruneLedger) -> np.ndarray:
             f"final tokens have {final_tokens.shape[0]} rows, ledger expects {survivors.size}"
         )
     out = np.zeros((ledger.n_tokens, final_tokens.shape[1]), dtype=final_tokens.dtype)
-    have = np.zeros(ledger.n_tokens, dtype=bool)
     out[survivors] = final_tokens
-    have[survivors] = True
     for e in reversed(ledger.events):
-        if have[e.token]:
-            raise IntegrityError(f"token {e.token} reconstructed twice")
-        acc = np.zeros(final_tokens.shape[1], dtype=np.float64)
-        for idx, wgt in e.parents.items():
-            if not have[idx]:
-                raise IntegrityError(
-                    f"token {e.token} needs parent {idx} before it is reconstructed"
-                )
-            acc += wgt * out[idx].astype(np.float64)
-        out[e.token] = acc.astype(final_tokens.dtype)
-        have[e.token] = True
-    if not have.all():
-        raise IntegrityError("ledger does not cover all tokens")
+        idx, wgt = _parent_arrays(e)
+        terms = wgt[:, None] * out[idx].astype(np.float64, copy=False)
+        # cumsum adds the parents one by one in journal order, where a sum
+        # may regroup them; + 0.0 turns a -0.0 total into +0.0 as a
+        # zero-started accumulator would
+        out[e.token] = np.cumsum(terms, axis=0)[-1] + 0.0
     return out
 
 
@@ -254,8 +240,7 @@ def expand_state_mask(state: AttentionState, ledger: PruneLedger) -> np.ndarray:
     present = np.zeros(n, dtype=bool)
     present[idx] = True
     for e in ledger.events:
-        if present[e.token]:
-            continue  # pruned at or after this block; column already live
-        for p, wgt in e.parents.items():
-            full[p, e.token] = e.gate * wgt
+        if not present[e.token]:  # pruned before this block
+            parents, shares = _parent_arrays(e)
+            full[parents, e.token] = e.gate * shares
     return full

@@ -10,6 +10,7 @@ gradient to input gradients; Tape.gradients replays those closures in reverse.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -74,7 +75,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
 
 
-_CURRENT_TAPE: "Tape | None" = None
+_CURRENT_TAPE: ContextVar["Tape | None"] = ContextVar("depvit_tape", default=None)
 
 
 @dataclass
@@ -89,23 +90,24 @@ class _Record:
 class Tape:
     """Records kernel calls so gradients can be replayed in reverse order.
 
-    Use as a context manager around the forward computation.  Tapes do not
-    nest; a second concurrent tape is a usage error.
+    Use as a context manager around the forward computation.  The active
+    tape is held per context (thread or asyncio task), so kernels run
+    elsewhere never record onto it.  Within one context tapes do not nest;
+    a second tape there is a usage error.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
+        self._token: Token | None = None
 
     def __enter__(self) -> "Tape":
-        global _CURRENT_TAPE
-        if _CURRENT_TAPE is not None:
+        if _CURRENT_TAPE.get() is not None:
             raise UsageError("a tape is already active; tapes do not nest")
-        _CURRENT_TAPE = self
+        self._token = _CURRENT_TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _CURRENT_TAPE
-        _CURRENT_TAPE = None
+        _CURRENT_TAPE.reset(self._token)
         return False
 
     def __len__(self) -> int:
@@ -143,7 +145,7 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
-    tape = _CURRENT_TAPE
+    tape = _CURRENT_TAPE.get()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape._records.append(_Record(out, inputs, backward))
@@ -648,12 +650,14 @@ def grad_check(
     """Compare tape gradients of scalar ``fn(inputs)`` to central differences.
 
     All inputs must be float64; the finite-difference step must lie in
-    [1e-6, 1e-4].  The error for one input is
-    ||g - fd||_2 / max(||g||_2 + ||fd||_2, 1e-12) and the report carries the
-    maximum over inputs.
+    [1e-6, 1e-4] and the tolerance must be positive and finite.  The error
+    for one input is ||g - fd||_2 / max(||g||_2 + ||fd||_2, 1e-12) and the
+    report carries the maximum over inputs.
     """
     if not (1e-6 <= step <= 1e-4):
         raise UsageError(f"finite-difference step {step} outside [1e-6, 1e-4]")
+    if not 0 < tolerance < math.inf:  # NaN fails both comparisons
+        raise UsageError(f"tolerance {tolerance} must be positive and finite")
     for t in inputs:
         if t.dtype != np.float64:
             raise UsageError("grad_check requires float64 inputs")

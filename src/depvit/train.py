@@ -85,6 +85,8 @@ def toy_train(samples: list[BlobSample], config: ModelConfig, steps: int = 200,
         raise UsageError("empty training set")
     if steps < 0 or batch_size < 1:
         raise UsageError("steps must be >= 0 and batch_size >= 1")
+    if not 0.0 <= lr < np.inf:  # NaN fails both comparisons; 0 freezes the weights
+        raise UsageError(f"lr {lr} must be finite and >= 0")
     if weights is None:
         weights = init_weights(config)
     params = weights.named_tensors()

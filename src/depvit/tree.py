@@ -194,12 +194,11 @@ def chu_liu_edmonds(scores: np.ndarray, root_scores: np.ndarray) -> DependencyTr
     return tree
 
 
-def received_mass(states: list[AttentionState], n_tokens: int | None = None) -> np.ndarray:
+def received_mass(states: list[AttentionState]) -> np.ndarray:
     """Total incoming dependency mass per original token, summed over blocks."""
     if not states:
         raise UsageError("received_mass needs at least one block state")
-    if n_tokens is None:
-        n_tokens = int(max(int(st.token_indices.max()) for st in states) + 1)
+    n_tokens = int(max(int(st.token_indices.max()) for st in states) + 1)
     out = np.zeros(n_tokens, dtype=np.float64)
     for st in states:
         out[st.token_indices] += st.mask.sum(axis=1)

@@ -203,6 +203,16 @@ class TestEval:
         assert run(["eval-saliency", "--pred", str(p), "--gt", str(p)]) == 2
 
 
+    @pytest.mark.parametrize("beta2", ["nan", "inf", "-1"])
+    def test_saliency_beta2_must_be_finite_non_negative(self, workdir, beta2):
+        d, _, _, _ = workdir
+        pred, gt = d / "pred.json", d / "gt.json"
+        write_json(pred, {"width": 2, "height": 1, "labels": [[1.0, 0.0]]})
+        write_json(gt, {"width": 2, "height": 1, "labels": [[1, 0]]})
+        assert run(["eval-saliency", "--pred", str(pred), "--gt", str(gt),
+                    "--beta2", beta2]) == 2
+
+
 class TestFlopsGradcheckTrain:
     def test_flops_small_config(self, workdir, capsys):
         d, cfg, _, _ = workdir
@@ -234,6 +244,16 @@ class TestFlopsGradcheckTrain:
         assert run(["gradcheck", "--seed", "0", "--tolerance", "1e-12"]) == 1
         rep = json.loads(capsys.readouterr().out)
         assert rep["passed"] is False
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-4"])
+    def test_gradcheck_tolerance_must_be_positive_finite(self, tolerance):
+        assert run(["gradcheck", "--tolerance", tolerance]) == 2
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.1"])
+    def test_train_toy_lr_must_be_finite_non_negative(self, workdir, lr):
+        d, cfg, _, _ = workdir
+        assert run(["train-toy", "--config", str(cfg), "--steps", "1",
+                    "--samples", "2", "--lr", lr]) == 2
 
     def test_train_toy_runs(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "toy.cfg"
@@ -306,10 +326,11 @@ class TestUsage:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # part metrics import scipy.optimize on first use; importing the CLI
-    # must not pay for it
+    # part metrics import scipy.optimize and saliency scipy.linalg on first
+    # use; importing the CLI must not pay for either
     src = str(Path(depvit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, depvit.cli; sys.exit('scipy.optimize' in sys.modules)"
+    code = ("import sys, depvit.cli; "
+            "sys.exit('scipy.optimize' in sys.modules or 'scipy.linalg' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

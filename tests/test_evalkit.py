@@ -152,6 +152,36 @@ class TestPartMetrics:
             assert rep2.miou == pytest.approx(rep.miou, abs=1e-12)
             assert rep2.macc == pytest.approx(rep.macc, abs=1e-12)
 
+    def test_matches_per_pair_mask_loop(self):
+        # reference: IoU from one pair of masks at a time, sums over the
+        # reference parts in their order; the count table must agree exactly
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            side = int(rng.integers(2, 9))
+            raw = [rng.integers(-1, int(rng.integers(1, 7)), (side, side)) for _ in "pg"]
+            # -1 stays -1, the other labels become 0..m-1
+            pred, gt = (grid(np.unique(x, return_inverse=True)[1].reshape(x.shape)
+                             - int((x == -1).any())) for x in raw)
+            pv, gv = pred.labels.ravel(), gt.labels.ravel()
+            valid = (pv >= 0) & (gv >= 0)
+            pv, gv = pv[valid], gv[valid]
+            if gv.size == 0:
+                continue
+            pids, gids = np.unique(pv), np.unique(gv)
+            iou = np.array([[np.count_nonzero((pv == a) & (gv == b))
+                             / np.count_nonzero((pv == a) | (gv == b)) for b in gids]
+                            for a in pids])
+            matched = {int(gids[b]): int(pids[a]) for a, b in hungarian_match(iou)
+                       if iou[a, b] > 0.0}
+            iou_sum = acc_sum = 0.0
+            for b in gids:
+                if int(b) in matched:
+                    pm, gm = pv == matched[int(b)], gv == b
+                    iou_sum += np.count_nonzero(pm & gm) / np.count_nonzero(pm | gm)
+                    acc_sum += np.count_nonzero(pm & gm) / np.count_nonzero(gm)
+            rep = part_metrics(pred, gt)
+            assert (rep.miou, rep.macc) == (iou_sum / gids.size, acc_sum / gids.size)
+
     def test_report_json(self):
         rep = part_metrics(grid([[0, 1]]), grid([[0, 1]]))
         d = rep.to_json_dict()
@@ -230,6 +260,15 @@ class TestFiedler:
             ref = dense_fiedler(w)
             agreement = abs(float(ours @ ref))
             assert agreement == pytest.approx(1.0, abs=1e-5)
+
+    def test_slowly_converging_affinity_matches_dense_oracle(self):
+        # an inverse power iteration missed a 1e-8 residual in 10,000 steps here
+        rng = np.random.default_rng(14)
+        w = rng.random((64, 64)) + 0.05
+        w = 0.5 * (w + w.T)
+        np.fill_diagonal(w, 1.0)
+        agreement = abs(float(fiedler_vector(w) @ dense_fiedler(w)))
+        assert agreement == pytest.approx(1.0, abs=1e-9)
 
     def test_two_cliques_split_by_sign(self):
         n = 8

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from depvit.block import AttentionState
 from depvit.errors import DepvitError, IntegrityError, UsageError
+from depvit.model import ModelConfig, init_weights, model_forward
 from depvit.pruning import (
     PruneEvent,
     PruneLedger,
@@ -158,7 +159,7 @@ class TestPruneStep:
     def test_hand_case_prunes_lowest_mass_leaves(self):
         mask = hand_mask_four_tokens()
         states = [state_from_mask(mask, gate=[0.9, 0.8, 0.7, 0.6])]
-        survivors, events = prune_step(states, np.arange(4), kept=2, layer=1)
+        survivors, events = prune_step(states, np.arange(4), kept=2)
         assert list(survivors) == [1, 2]
         assert [e.token for e in events] == [0, 3]
         # token 0 distributes its outgoing column over {1, 2, 3}
@@ -179,16 +180,16 @@ class TestPruneStep:
 
     def test_noop_when_kept_equals_current(self):
         states = [state_from_mask(hand_mask_four_tokens())]
-        survivors, events = prune_step(states, np.arange(4), kept=4, layer=1)
+        survivors, events = prune_step(states, np.arange(4), kept=4)
         assert list(survivors) == [0, 1, 2, 3]
         assert events == []
 
     def test_kept_bounds_rejected(self):
         states = [state_from_mask(hand_mask_four_tokens())]
         with pytest.raises(UsageError):
-            prune_step(states, np.arange(4), kept=0, layer=1)
+            prune_step(states, np.arange(4), kept=0)
         with pytest.raises(UsageError):
-            prune_step(states, np.arange(4), kept=5, layer=1)
+            prune_step(states, np.arange(4), kept=5)
 
     def test_only_leaves_are_pruned(self):
         rng = np.random.default_rng(7)
@@ -199,7 +200,7 @@ class TestPruneStep:
             kept = int(rng.integers(1, n))
             states = [state_from_mask(mask)]
             try:
-                _, events = prune_step(states, np.arange(n), kept, layer=1)
+                _, events = prune_step(states, np.arange(n), kept)
             except IntegrityError:
                 continue  # argmax cycles can make the target unreachable
             alive = np.ones(n, dtype=bool)
@@ -230,21 +231,37 @@ class TestPruneStep:
         a[2, 1] = 0.9                  # 1 -> 2
         a[1, 2] = 0.3                  # 2 -> 1
         states = [state_from_mask(a)]
-        _, events = prune_step(states, np.arange(4), kept=2, layer=1)
+        _, events = prune_step(states, np.arange(4), kept=2)
         assert [e.token for e in events] == [0, 3]
+
+    def test_leaf_rounds_finish_before_new_leaves(self):
+        """Leaves 0 (mass 0.05) and 2 (0.3) form the first round.  Removing
+        0 leaves its parent 1 childless with mass 0.2, below 2's, yet 2 goes
+        first: 1 only joins the next round.  The cycle 3 <-> 4 stays."""
+        a = np.zeros((5, 5))
+        a[1, 0] = 0.2                 # 0 -> 1
+        a[3, 1], a[0, 1] = 0.5, 0.05  # 1 -> 3
+        a[3, 2] = 0.6                 # 2 -> 3
+        a[4, 3], a[2, 3] = 0.9, 0.3   # 3 -> 4
+        a[3, 4] = 0.8                 # 4 -> 3
+        states = [state_from_mask(a), state_from_mask(a)]
+        survivors, events = prune_step(states, np.arange(5), kept=2)
+        assert list(survivors) == [3, 4]
+        assert [e.token for e in events] == [0, 2, 1]
+        assert all(e.layer == 2 for e in events)  # one event layer per block run
 
     def test_cycle_stall_raises(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         states = [state_from_mask(a)]
         with pytest.raises(IntegrityError):
-            prune_step(states, np.arange(2), kept=1, layer=1)
+            prune_step(states, np.arange(2), kept=1)
 
     def test_uniform_fallback_for_zero_column(self):
         a = np.zeros((3, 3))
         a[1, 2] = 0.5   # 2 -> 1; tokens 0 and 2 are leaves, 0 has zero column
         a[2, 1] = 0.4
         states = [state_from_mask(a)]
-        _, events = prune_step(states, np.arange(3), kept=2, layer=1)
+        _, events = prune_step(states, np.arange(3), kept=2)
         assert events[0].token == 0
         np.testing.assert_allclose(sorted(events[0].parents.values()), [0.5, 0.5])
 
@@ -253,7 +270,7 @@ class TestPruneStep:
         mask = hand_mask_four_tokens()
         tokens = np.array([2, 5, 7, 11])
         states = [state_from_mask(mask, tokens=tokens)]
-        survivors, events = prune_step(states, tokens, kept=2, layer=3)
+        survivors, events = prune_step(states, tokens, kept=2)
         assert list(survivors) == [5, 7]
         assert [e.token for e in events] == [2, 11]
         assert set(events[0].parents) == {5, 7, 11}
@@ -309,6 +326,46 @@ class TestRetrieveDense:
         # 0 is rebuilt first (last event), then 3 copies it
         np.testing.assert_array_equal(out[0], x[0])
         np.testing.assert_array_equal(out[3], out[0])
+
+
+    def test_matches_sequential_float64_replay(self):
+        cfg = ModelConfig(image_size=128, patch_size=16, channels=16, heads=4,
+                          layers=3, num_classes=3, seed=2,
+                          prune_schedule=((1, 40), (2, 20)))
+        img = np.random.default_rng(3).random((128, 128, 3)).astype(np.float32)
+        res = model_forward(img, cfg, init_weights(cfg))
+        assert len(res.ledger.events) == 44
+        ref = np.zeros((64, res.tokens.data.shape[1]), dtype=res.tokens.data.dtype)
+        ref[res.survivors] = res.tokens.data
+        for e in reversed(res.ledger.events):
+            acc = np.zeros(ref.shape[1], dtype=np.float64)
+            for idx, wgt in e.parents.items():
+                acc += wgt * ref[idx].astype(np.float64)
+            ref[e.token] = acc.astype(ref.dtype)
+        out = retrieve_dense(res.tokens, res.ledger)
+        assert out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+
+    def test_single_channel_sums_parents_in_journal_order(self):
+        # one column is where a numpy reduction would regroup the terms
+        rng = np.random.default_rng(5)
+        shares = rng.random(40) * 10.0 ** rng.integers(-8, 8, 40)
+        shares /= shares.sum()
+        led = PruneLedger(n_tokens=41, events=[
+            PruneEvent(1, 0, 1.0, {i + 1: float(w) for i, w in enumerate(shares)}),
+        ])
+        x = rng.standard_normal((40, 1)) * 10.0 ** rng.integers(-8, 8, (40, 1))
+        acc = 0.0
+        for i, w in led.events[0].parents.items():
+            acc += w * x[i - 1, 0]
+        assert retrieve_dense(x, led)[0, 0] == acc
+
+
+    def test_negative_zero_total_is_positive_zero(self):
+        # the replay starts from a zero accumulator: 0.0 + 1.0 * -0.0 is +0.0
+        led = PruneLedger(n_tokens=2, events=[PruneEvent(1, 0, 1.0, {1: 1.0})])
+        out = retrieve_dense(np.array([[-0.0, 2.0]]), led)
+        assert out[0].tobytes() == np.array([0.0, 2.0]).tobytes()
 
 
 class TestExpandMask:

@@ -6,6 +6,7 @@ against float64 central differences through grad_check.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -135,6 +136,25 @@ class TestErrorPaths:
             with pytest.raises(UsageError):
                 with T.Tape():
                     pass
+
+    def test_tape_is_per_thread(self):
+        x = T.tensor([1.0, 2.0], dtype=np.float64, requires_grad=True)
+        seen = {}
+
+        def worker():
+            T.add(x, x)  # must not record onto the main thread's tape
+            with T.Tape() as own:
+                T.add(x, x)
+            seen["own"] = len(own)
+
+        with T.Tape() as main:
+            T.mul(x, x)
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert len(main) == 1
+        assert seen == {"own": 1}
 
     def test_bad_temperature(self):
         with pytest.raises(UsageError):

@@ -216,7 +216,7 @@ class TestReceivedMass:
     def test_pruned_layer_accumulates_at_original_indices(self):
         m1 = np.ones((4, 4)) * 0.25
         m2 = np.array([[0.0, 0.5], [0.5, 0.0]])
-        scores = received_mass([state_for(m1), state_for(m2, indices=[1, 3])], n_tokens=4)
+        scores = received_mass([state_for(m1), state_for(m2, indices=[1, 3])])
         np.testing.assert_allclose(scores, [1.0, 1.5, 1.0, 1.5])
 
     def test_dominant_receiver_is_maximal(self):
