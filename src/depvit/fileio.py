@@ -385,4 +385,4 @@ def load_grid_values(path) -> np.ndarray:
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload) + "\n")  # indent= forces the Python encoder

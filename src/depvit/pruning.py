@@ -5,11 +5,13 @@ cumulative received mass first.  Every removal is journaled: the token's
 original index, the block after which it was dropped, its cumulative gate,
 and how its outgoing mass splits over the tokens still alive.  The journal
 is enough to rebuild dense token matrices and full-size masks afterwards.
+The journal is checked and replayed one array step per event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -39,13 +41,14 @@ class PruneEvent:
             raise IntegrityError(f"event for token {self.token} has no parents")
         if self.token in self.parents:
             raise IntegrityError(f"token {self.token} lists itself as parent")
-        total = 0.0
-        for idx, wgt in self.parents.items():
-            if not 0 <= idx < n_tokens:
-                raise IntegrityError(f"parent index {idx} out of range")
-            if not np.isfinite(wgt) or wgt < -1e-12:
-                raise IntegrityError(f"parent share {wgt} is negative or not finite")
-            total += wgt
+        lo, hi = min(self.parents), max(self.parents)
+        if lo < 0 or hi >= min(n_tokens, 2**63):  # ids must also fit int64
+            raise IntegrityError(f"parent index {lo if lo < 0 else hi} out of range")
+        wgt = _parent_arrays([self])[1]
+        bad = wgt[~(np.isfinite(wgt) & (wgt >= -1e-12))]
+        if bad.size:
+            raise IntegrityError(f"parent share {bad[0]} is negative or not finite")
+        total = float(np.cumsum(wgt)[-1])  # in journal order, as a running total
         if abs(total - 1.0) > 1e-6:
             raise IntegrityError(f"parent shares sum to {total}, expected 1")
 
@@ -59,10 +62,9 @@ class PruneLedger:
 
     def survivors(self) -> np.ndarray:
         """Ascending original indices alive after the whole schedule."""
-        gone = set(e.token for e in self.events)
-        return np.array(
-            [i for i in range(self.n_tokens) if i not in gone], dtype=np.int64
-        )
+        alive = np.ones(self.n_tokens, dtype=bool)
+        alive[[e.token for e in self.events]] = False
+        return np.flatnonzero(alive)
 
     def validate(self) -> None:
         if self.n_tokens < 1:
@@ -76,11 +78,9 @@ class PruneLedger:
                 raise IntegrityError(f"token {e.token} pruned twice")
             if e.layer < last_layer:
                 raise IntegrityError("events out of chronological order")
-            for idx in e.parents:
-                if idx in seen:
-                    raise IntegrityError(
-                        f"event for token {e.token} references dead parent {idx}"
-                    )
+            if not seen.isdisjoint(e.parents):
+                dead = next(idx for idx in e.parents if idx in seen)
+                raise IntegrityError(f"event for token {e.token} references dead parent {dead}")
             seen.add(e.token)
             last_layer = e.layer
 
@@ -129,11 +129,10 @@ def _event_distribution(column: np.ndarray, local_alive: np.ndarray,
     """
     weights = column[local_alive]
     total = float(weights.sum())
-    targets = survivors[local_alive]
+    targets = survivors[local_alive].tolist()
     if total <= 1e-12:
-        share = 1.0 / targets.size
-        return {int(t): share for t in targets}
-    return {int(t): float(w / total) for t, w in zip(targets, weights)}
+        return dict.fromkeys(targets, 1.0 / len(targets))
+    return dict(zip(targets, (weights / total).tolist()))
 
 
 def prune_step(states: list[AttentionState], survivors: np.ndarray,
@@ -188,11 +187,11 @@ def prune_step(states: list[AttentionState], survivors: np.ndarray,
     return survivors[alive], events
 
 
-def _parent_arrays(e: PruneEvent) -> tuple[np.ndarray, np.ndarray]:
-    """An event's parent indices and shares, in journal order."""
-    n = len(e.parents)
-    return (np.fromiter(e.parents.keys(), dtype=np.int64, count=n),
-            np.fromiter(e.parents.values(), dtype=np.float64, count=n))
+def _parent_arrays(events: list[PruneEvent]) -> tuple[np.ndarray, np.ndarray]:
+    """The events' parent indices and shares, concatenated in journal order."""
+    n = sum(len(e.parents) for e in events)
+    return (np.fromiter(chain.from_iterable(e.parents for e in events), np.int64, n),
+            np.fromiter(chain.from_iterable(e.parents.values() for e in events), np.float64, n))
 
 
 def retrieve_dense(final_tokens: np.ndarray, ledger: PruneLedger) -> np.ndarray:
@@ -207,20 +206,19 @@ def retrieve_dense(final_tokens: np.ndarray, ledger: PruneLedger) -> np.ndarray:
     if isinstance(final_tokens, Tensor):
         final_tokens = final_tokens.data
     final_tokens = np.asarray(final_tokens)
-    survivors = ledger.survivors()
-    if final_tokens.ndim != 2 or final_tokens.shape[0] != survivors.size:
+    rows = ledger.n_tokens - len(ledger.events)  # validated: one new token per event
+    if final_tokens.ndim != 2 or final_tokens.shape[0] != rows:
         raise IntegrityError(
-            f"final tokens have {final_tokens.shape[0]} rows, ledger expects {survivors.size}"
+            f"final tokens have shape {final_tokens.shape}, ledger expects {rows} rows"
         )
     out = np.zeros((ledger.n_tokens, final_tokens.shape[1]), dtype=final_tokens.dtype)
-    out[survivors] = final_tokens
+    out[ledger.survivors()] = final_tokens
     for e in reversed(ledger.events):
-        idx, wgt = _parent_arrays(e)
+        idx, wgt = _parent_arrays([e])
         terms = wgt[:, None] * out[idx].astype(np.float64, copy=False)
-        # cumsum adds the parents one by one in journal order, where a sum
-        # may regroup them; + 0.0 turns a -0.0 total into +0.0 as a
-        # zero-started accumulator would
-        out[e.token] = np.cumsum(terms, axis=0)[-1] + 0.0
+        # cumsum adds the parents one by one in journal order where a sum may
+        # regroup them; + 0.0 makes a -0.0 total +0.0, as a zero-started sum would
+        out[e.token] = np.cumsum(terms, axis=0, out=terms)[-1] + 0.0
     return out
 
 
@@ -229,18 +227,20 @@ def expand_state_mask(state: AttentionState, ledger: PruneLedger) -> np.ndarray:
 
     Survivor entries are copied; each token pruned before the block gets its
     outgoing column reinstated as cached gate times its recorded parent
-    distribution, which preserves every column's total sent mass.
+    distribution, which preserves every column's total sent mass.  The state's
+    tokens plus those pruned before it must be exactly the ledger's n_tokens.
     """
     idx = state.token_indices
+    alive = set(idx.tolist())
+    gone = [e for e in ledger.events if e.token not in alive]  # pruned before the block
     n = ledger.n_tokens
-    if idx.size != state.mask.shape[0]:
-        raise IntegrityError("state token_indices disagree with its mask size")
+    if idx.size != state.mask.shape[0] or n != idx.size + len(gone):
+        raise IntegrityError(f"a {idx.size}-token state with a {state.mask.shape} mask and "
+                             f"{len(gone)} tokens pruned before it do not make {n} tokens")
+    rows, shares = _parent_arrays(gone)
+    counts = [len(e.parents) for e in gone]
+    cols = np.repeat(np.array([e.token for e in gone], dtype=np.int64), counts)
     full = np.zeros((n, n), dtype=np.float64)
     full[np.ix_(idx, idx)] = state.mask
-    present = np.zeros(n, dtype=bool)
-    present[idx] = True
-    for e in ledger.events:
-        if not present[e.token]:  # pruned before this block
-            parents, shares = _parent_arrays(e)
-            full[parents, e.token] = e.gate * shares
+    full[rows, cols] = np.repeat([e.gate for e in gone], counts) * shares
     return full

@@ -208,9 +208,9 @@ def received_mass(states: list[AttentionState]) -> np.ndarray:
 def aggregate_masks(states: list[AttentionState], ledger=None) -> np.ndarray:
     """Mean dependency mask over blocks, in original token coordinates.
 
-    Blocks that ran after pruning cover fewer tokens; their masks are first
-    expanded back to full size through the ledger (required whenever any
-    state is smaller than the first one).
+    Blocks that ran after pruning cover fewer tokens; the ledger (required
+    whenever a state is smaller than the first) expands their masks to full
+    size in float64, so only an unpruned run gives a float32 result.
     """
     if not states:
         raise UsageError("aggregate_masks needs at least one block state")

@@ -81,3 +81,46 @@ def dense_fiedler(w: np.ndarray) -> np.ndarray:
     u = vecs[:, 1]
     f = inv_sqrt * u
     return f / np.linalg.norm(f)
+
+
+def ledger_fault(n_tokens: int, events) -> str | None:
+    """First fault of a prune journal, or None when it is valid.
+
+    The reference for ``PruneLedger.validate``: one Python pass over every
+    event and every parent entry.  ``events`` are objects with ``layer``,
+    ``token``, ``gate`` and a ``parents`` dict of index -> share.
+    """
+    if n_tokens < 1:
+        return "ledger needs n_tokens >= 1"
+    seen = set()
+    last_layer = 0
+    for e in events:
+        if not 0 <= e.token < n_tokens:
+            return f"event token {e.token} out of range"
+        if e.layer < 1:
+            return f"event layer {e.layer} must be >= 1"
+        if not 0.0 <= e.gate <= 1.0 + 1e-6:
+            return f"event gate {e.gate} outside [0, 1]"
+        if not e.parents:
+            return f"event for token {e.token} has no parents"
+        if e.token in e.parents:
+            return f"token {e.token} lists itself as parent"
+        total = 0.0
+        for idx, wgt in e.parents.items():
+            if not 0 <= idx < n_tokens:
+                return f"parent index {idx} out of range"
+            if not np.isfinite(wgt) or wgt < -1e-12:
+                return f"parent share {wgt} is negative or not finite"
+            total += wgt
+        if abs(total - 1.0) > 1e-6:
+            return f"parent shares sum to {total}, expected 1"
+        if e.token in seen:
+            return f"token {e.token} pruned twice"
+        if e.layer < last_layer:
+            return "events out of chronological order"
+        for idx in e.parents:
+            if idx in seen:
+                return f"event for token {e.token} references dead parent {idx}"
+        seen.add(e.token)
+        last_layer = e.layer
+    return None

@@ -1,6 +1,7 @@
 """Tests for leaf-only token pruning, the journal, and lossless retrieval."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from depvit.block import AttentionState
 from depvit.errors import DepvitError, IntegrityError, UsageError
+from depvit.fileio import write_json
 from depvit.model import ModelConfig, init_weights, model_forward
 from depvit.pruning import (
     PruneEvent,
@@ -17,6 +19,7 @@ from depvit.pruning import (
     prune_step,
     retrieve_dense,
 )
+from oracles import ledger_fault
 
 
 def state_from_mask(mask, tokens=None, gate=None):
@@ -140,6 +143,7 @@ class TestLedgerValidation:
         (3, [[1, 1.0]]),              # parents as a list of pairs, not a mapping
         (3, {"1": float("nan")}),     # a NaN share must not pass the sum check
         (float("inf"), {"1": 1.0}),   # n_tokens that no integer can hold
+        (10**30, {str(2**63): 1.0}),  # a parent id beyond int64
     ])
     def test_from_json_rejects_bad_values(self, n_tokens, parents):
         payload = {"n_tokens": n_tokens,
@@ -311,6 +315,16 @@ class TestRetrieveDense:
         led = PruneLedger(n_tokens=4, events=[PruneEvent(1, 0, 1.0, {1: 1.0})])
         with pytest.raises(IntegrityError):
             retrieve_dense(np.zeros((2, 3)), led)
+        with pytest.raises(IntegrityError):
+            retrieve_dense(np.float64(1.0), led)  # no rows at all
+
+    def test_row_count_is_checked_before_listing_survivors(self):
+        # a ledger JSON may claim 10**30 tokens; listing them would never end
+        led = PruneLedger.from_json_dict(
+            {"n_tokens": 10**30,
+             "events": [{"layer": 1, "token": 0, "gate": 0.5, "parents": {"1": 1.0}}]})
+        with pytest.raises(IntegrityError):
+            retrieve_dense(np.zeros((2, 3)), led)
 
     def test_forward_order_dependency_rejected(self):
         # token 3 leaves first naming 0 as parent; then 0 leaves.  During
@@ -400,6 +414,14 @@ class TestExpandMask:
         assert full[:, 0].sum() == pytest.approx(0.6, abs=1e-12)
         assert full[:, 4].sum() == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("n_tokens", [10**30, 5000])
+    def test_token_count_must_match_state(self, n_tokens):
+        # one state token plus one token pruned before the block make 2
+        led = PruneLedger(n_tokens=n_tokens, events=[PruneEvent(1, 0, 1.0, {1: 1.0})])
+        led.validate()
+        with pytest.raises(IntegrityError):
+            expand_state_mask(state_from_mask([[0.0]], tokens=[1]), led)
+
 
 
 _JSON = st.recursive(
@@ -442,3 +464,96 @@ class TestLedgerJsonProperty:
             return
         text = json.dumps(ledger.to_json_dict())
         assert json.dumps(PruneLedger.from_json_dict(json.loads(text)).to_json_dict()) == text
+
+
+_BAD_IDS = [-1, 2**63 - 1, 2**63, 2**64, -2**63 - 1, 10**30]
+_ODD_SHARES = [float("nan"), float("inf"), -float("inf"), -0.1, -1e-13]
+_ODD_GATES = [float("nan"), float("inf"), -0.1, 1.0 + 5e-7, 1.0 + 2e-6]
+
+
+@st.composite
+def journals(draw):
+    """A valid journal, then maybe one edit of a kind validation checks;
+    some edits, such as a share of -1e-13 or a layer kept in order, stay
+    valid."""
+    n = draw(st.integers(2, 8))
+    alive = list(range(n))
+    events = []
+    layer = 1
+    for _ in range(draw(st.integers(1, n - 1))):
+        token = alive.pop(draw(st.integers(0, len(alive) - 1)))
+        targets = draw(st.lists(st.sampled_from(alive), min_size=1, unique=True))
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(targets), max_size=len(targets)))
+        layer += draw(st.integers(0, 2))
+        events.append(PruneEvent(layer, token, draw(st.floats(0.0, 1.0)),
+                                 {t: w / sum(raw) for t, w in zip(targets, raw)}))
+    kind = draw(st.sampled_from(
+        ["none", "share", "parent id", "n_tokens", "self parent", "dead parent",
+         "layer", "token", "gate", "empty", "scale"]))
+    if kind == "none":
+        return PruneLedger(n, events)
+    if kind == "n_tokens":
+        return PruneLedger(draw(st.integers(-1, n + 1)), events)
+    e = draw(st.sampled_from(events))
+    old = draw(st.sampled_from(sorted(e.parents)))
+    if kind == "share":
+        e.parents[old] = draw(st.sampled_from(_ODD_SHARES))
+    elif kind in ("parent id", "self parent", "dead parent"):
+        new = draw(st.sampled_from({"parent id": _BAD_IDS, "self parent": [e.token],
+                                    "dead parent": [f.token for f in events]}[kind]))
+        e.parents = {(new if k == old else k): v for k, v in e.parents.items()}
+    elif kind == "layer":
+        e.layer = draw(st.integers(-1, layer + 1))
+    elif kind == "token":
+        e.token = draw(st.integers(-1, n))
+    elif kind == "gate":
+        e.gate = draw(st.sampled_from(_ODD_GATES))
+    elif kind == "empty":
+        e.parents = {}
+    elif kind == "scale":
+        e.parents = {k: v * draw(st.sampled_from([1.0 + 5e-7, 1.0 + 2e-6, 0.5]))
+                     for k, v in e.parents.items()}
+    return PruneLedger(n, events)
+
+
+class TestLedgerValidationOracle:
+    @given(journals())
+    @settings(max_examples=600, deadline=None)
+    def test_raises_exactly_when_the_entry_loop_does(self, ledger):
+        """The array checks agree with the per-entry reference loop; any
+        other exception, such as an OverflowError, fails the property."""
+        if ledger_fault(ledger.n_tokens, ledger.events) is None:
+            ledger.validate()
+        else:
+            with pytest.raises(IntegrityError):
+                ledger.validate()
+
+
+class TestJournalScale:
+    def test_journal_at_1024_tokens(self, tmp_path):
+        # no runtime cliff up to 1024 tokens: four steps down to 128 journal
+        # 896 events with about half a million parent entries
+        rng = np.random.default_rng(11)
+        survivors = np.arange(1024)
+        states, ledger = [], PruneLedger(n_tokens=1024)
+        t0 = time.monotonic()
+        for kept in (768, 512, 256, 128):
+            s = survivors.size
+            mask = rng.uniform(size=(s, s))
+            np.fill_diagonal(mask, 0.0)
+            states.append(state_from_mask(mask, tokens=survivors, gate=rng.uniform(size=s)))
+            survivors, events = prune_step(states, survivors, kept)
+            ledger.events.extend(events)
+        ledger.validate()
+        final = rng.standard_normal((128, 8))
+        dense = retrieve_dense(final, ledger)
+        full = expand_state_mask(states[-1], ledger)
+        write_json(tmp_path / "ledger.json", ledger.to_json_dict())
+        back = PruneLedger.from_json_dict(json.loads((tmp_path / "ledger.json").read_text()))
+        assert time.monotonic() - t0 < 60.0
+        assert len(ledger.events) == 896
+        assert back == ledger
+        assert dense[survivors].tobytes() == final.tobytes()
+        gone = [e.token for e in ledger.events if e.layer < 4]
+        np.testing.assert_allclose(full[:, gone].sum(axis=0),
+                                   [e.gate for e in ledger.events if e.layer < 4])

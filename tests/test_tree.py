@@ -7,6 +7,7 @@ import pytest
 
 from depvit import IntegrityError, UsageError
 from depvit.block import AttentionState
+from depvit.model import ModelConfig, init_weights, model_forward
 from depvit.tree import (
     DependencyTree,
     aggregate_masks,
@@ -237,6 +238,15 @@ class TestAggregateMasks:
         np.testing.assert_allclose(
             aggregate_masks([state_for(a), state_for(b)]), (a + b) / 2.0
         )
+
+    def test_dtype_is_float32_unpruned_and_float64_expanded(self):
+        img = np.random.default_rng(4).random((64, 64, 3)).astype(np.float32)
+        for schedule, dtype in (((), np.float32), (((1, 12),), np.float64)):
+            cfg = ModelConfig(image_size=64, patch_size=16, channels=16, heads=4,
+                              layers=2, num_classes=2, seed=1, prune_schedule=schedule)
+            res = model_forward(img, cfg, init_weights(cfg))
+            assert res.states[0].mask.dtype == np.float32
+            assert aggregate_masks(res.states, res.ledger).dtype == dtype
 
     def test_pruned_states_require_ledger(self):
         a = np.ones((3, 3))
