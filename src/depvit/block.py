@@ -189,7 +189,7 @@ def block_forward(x: Tensor, weights: BlockWeights, gate_prev: Tensor,
     rev, mask = reverse_compose(attn, probs, gate_cum)
     head_out = tn.batched_matmul(rev, values)
     state = AttentionState(
-        mask=mask.data.copy(),
+        mask=mask.data,  # nothing else reads it: the sum's backward never does
         cumulative_gate=gate_cum.data.copy(),
         token_indices=np.arange(n, dtype=np.int64),
         head_probs=probs.data.copy(),

@@ -134,6 +134,8 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"seed {args.seed} must be >= 0")
     rng = np.random.default_rng(args.seed)
     n, c, h = 6, 8, 2
     weights = init_block_weights(c, h, rng, dtype=np.float64)

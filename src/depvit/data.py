@@ -119,6 +119,8 @@ def blob_dataset(count: int, seed: int, ks: tuple[int, ...] = (2, 3),
     """Balanced dataset cycling through the blob counts; class = index in ks."""
     if count < 1:
         raise UsageError("count must be >= 1")
+    if seed < 0:
+        raise UsageError(f"seed {seed} must be >= 0")
     rng = np.random.default_rng(seed)
     samples = []
     for i in range(count):

@@ -5,6 +5,8 @@ mixed-precision arithmetic is rejected rather than silently promoted.  Every
 kernel validates shapes before computing and checks the result for NaN/Inf
 after.  When a Tape is active, kernels append a closure that maps the output
 gradient to input gradients; Tape.gradients replays those closures in reverse.
+Kernels work in their own fresh buffers, in place where that saves a pass or
+an allocation, and never write into an input array.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from scipy.special import erf
 
 from .errors import NumericError, ShapeError, UsageError
 
-_ALLOWED_DTYPES = (np.float32, np.float64)
 _DT32 = np.dtype(np.float32)
 _DT64 = np.dtype(np.float64)
 
@@ -153,6 +154,7 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
 
 
 _reduce_sum = np.add.reduce
+_reduce_max = np.maximum.reduce
 _isfinite = math.isfinite
 
 
@@ -485,7 +487,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     n = a.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"gather_rows: index out of range for {n} rows")
-    out = Tensor(a.data[idx].copy())
+    out = Tensor(a.data[idx])  # fancy indexing already copies
 
     def backward(g):
         if not a.requires_grad:
@@ -504,19 +506,20 @@ def softmax_rows(a: Tensor, temperature: float = 1.0) -> Tensor:
     """
     if temperature <= 0:
         raise UsageError(f"softmax temperature must be positive, got {temperature}")
-    z = a.data / a.dtype.type(temperature)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = a.data / a.dtype.type(temperature)
+    out_data -= _reduce_max(out_data, axis=-1, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= _reduce_sum(out_data, axis=-1, keepdims=True)
     _check_finite(out_data, "softmax_rows")
     out = Tensor(out_data)
 
     def backward(g):
         if not a.requires_grad:
             return (None,)
-        y = out_data
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner) / temperature,)
+        gx = g * out_data
+        np.subtract(g, _reduce_sum(gx, axis=-1, keepdims=True), out=gx)
+        gx *= out_data
+        return (np.divide(gx, temperature, out=gx),)
 
     return _record(out, (a,), backward)
 
@@ -524,16 +527,23 @@ def softmax_rows(a: Tensor, temperature: float = 1.0) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian error linear unit: x * Phi(x)."""
     x = a.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out_data = (x * phi).astype(a.dtype, copy=False)
+    phi = erf(x * _INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
+    out_data = x * phi
     _check_finite(out_data, "gelu")
     out = Tensor(out_data)
 
     def backward(g):
         if not a.requires_grad:
             return (None,)
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (phi + x * pdf),)
+        gx = x * -0.5
+        gx *= x
+        np.exp(gx, out=gx)
+        gx *= _INV_SQRT2PI  # the normal pdf
+        gx *= x
+        gx += phi
+        return (np.multiply(gx, g, out=gx),)
 
     return _record(out, (a,), backward)
 
@@ -541,10 +551,12 @@ def gelu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     """Logistic function, numerically stable for both signs."""
     x = a.data
-    # exp of a non-positive argument never overflows; the two branches are
-    # the same function written for the sign that keeps the exponent <= 0
-    e = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp of a non-positive argument never overflows; 1 / (1 + e) for x >= 0
+    # and e / (1 + e) below are the same function written for each sign
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    out_data = np.where(x >= 0, 1.0, e)
+    out_data /= np.add(e, 1.0, out=e)
     _check_finite(out_data, "sigmoid")
     out = Tensor(out_data)
 
@@ -563,24 +575,27 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError(f"layer_norm: gain/bias must be ({c},), got {gain.shape}/{bias.shape}")
     _same_dtype("layer_norm", a, gain, bias)
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # add.reduce / c is the mean np.mean computes, without its Python wrapper
+    xhat = x - _reduce_sum(x, axis=-1, keepdims=True) / c
+    var = _reduce_sum(xhat * xhat, axis=-1, keepdims=True) / c
     inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
     _check_finite(out_data, "layer_norm")
     out = Tensor(out_data)
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=lead) if gain.requires_grad else None
-        gbias = g.sum(axis=lead) if bias.requires_grad else None
+        ggain = _reduce_sum(g * xhat, axis=lead) if gain.requires_grad else None
+        gbias = _reduce_sum(g, axis=lead) if bias.requires_grad else None
         if a.requires_grad:
-            gy = g * gain.data
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            gx = (gy - m1 - xhat * m2) * inv
+            gx = g * gain.data
+            m1 = _reduce_sum(gx, axis=-1, keepdims=True) / c
+            m2 = _reduce_sum(gx * xhat, axis=-1, keepdims=True) / c
+            gx -= m1
+            gx -= xhat * m2
+            gx *= inv
         else:
             gx = None
         return gx, ggain, gbias

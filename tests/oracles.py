@@ -1,13 +1,16 @@
 """Brute-force reference implementations shared by unit and acceptance tests.
 
-Everything here is deliberately naive: exhaustive enumeration and dense
-eigendecompositions.  None of it may import the package's own algorithms.
+Everything here is deliberately naive: exhaustive enumeration, dense
+eigendecompositions and one fresh array per arithmetic step.  None of it may
+import the package's own algorithms.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
+from scipy.special import erf
 
 
 def brute_best_arborescence(scores: np.ndarray, root_scores: np.ndarray):
@@ -124,3 +127,45 @@ def ledger_fault(n_tokens: int, events) -> str | None:
         seen.add(e.token)
         last_layer = e.layer
     return None
+
+
+# Row kernels, forward and backward, one fresh array per step.  Each takes
+# the input arrays plus the output gradient ``g`` and returns the output
+# followed by the input gradients; the tensor kernels must match them bit
+# for bit.
+
+def softmax_rows_kernel(x, temperature, g):
+    z = x / x.dtype.type(temperature)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    return y, y * (g - inner) / temperature
+
+
+def gelu_kernel(x, g):
+    phi = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    y = (x * phi).astype(x.dtype, copy=False)
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return y, g * (phi + x * pdf)
+
+
+def sigmoid_kernel(x, g):
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return y, g * y * (1.0 - y)
+
+
+def layer_norm_kernel(x, gain, bias, g, eps=1e-6):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = xc * inv
+    y = xhat * gain + bias
+    lead = tuple(range(g.ndim - 1))
+    gy = g * gain
+    m1 = gy.mean(axis=-1, keepdims=True)
+    m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+    gx = (gy - m1 - xhat * m2) * inv
+    return y, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)

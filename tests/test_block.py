@@ -236,3 +236,25 @@ class TestBlockGradients:
         g_x, g_gp = tape.gradients(loss, [x, gp])
         assert np.abs(g_gp).max() > 0
         assert np.abs(g_x).max() > 0
+
+    def test_editing_state_mask_leaves_gradients_unchanged(self):
+        # The state holds the mask array the block computed, not a copy;
+        # no backward closure may read it.
+        rng = np.random.default_rng(13)
+        bw, _ = make_block(rng, channels=8, heads=2)
+        x0, gp0 = rng.normal(size=(5, 8)), rng.uniform(0.3, 1.0, size=5)
+
+        def gradients(edit):
+            x = tn.tensor(x0, dtype=np.float64, requires_grad=True)
+            gp = tn.tensor(gp0, dtype=np.float64, requires_grad=True)
+            wrt = [x, gp] + list(bw.named_tensors().values())
+            with tn.Tape() as tape:
+                x_out, gate_cum, state = block_forward(x, bw, gp)
+                loss = tn.sum_squares(pool_tokens(x_out, gate_cum))
+            if edit:
+                state.mask *= -3.0
+                state.mask[0, :] = 7.0
+            return tape.gradients(loss, wrt)
+
+        for plain, edited in zip(gradients(False), gradients(True)):
+            assert plain.tobytes() == edited.tobytes()

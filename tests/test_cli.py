@@ -255,6 +255,18 @@ class TestFlopsGradcheckTrain:
         assert run(["train-toy", "--config", str(cfg), "--steps", "1",
                     "--samples", "2", "--lr", lr]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--seed", "-1"],
+        ["train-toy", "--steps", "1", "--samples", "2", "--seed", "-5"],
+    ])
+    def test_negative_seed_is_usage_error(self, workdir, capsys, argv):
+        d, cfg, _, _ = workdir
+        if argv[0] == "train-toy":
+            argv = argv + ["--config", str(cfg)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+
     def test_train_toy_runs(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "toy.cfg"
         cfg.write_text("image_size=128\npatch_size=16\nchannels=16\nheads=4\n"

@@ -343,6 +343,13 @@ class TestTraining:
         for name, t in res.weights.named_tensors().items():
             np.testing.assert_array_equal(t.data, init[name].data)
 
+    def test_negative_seed_is_usage_error(self):
+        with pytest.raises(UsageError):
+            blob_dataset(1, seed=-1)
+        cfg = small_config(image_size=128, layers=2, num_classes=2)
+        with pytest.raises(UsageError):
+            toy_train(blob_dataset(1, seed=0), cfg, steps=1, seed=-1)
+
     def test_training_reduces_loss(self):
         cfg = small_config(image_size=128, layers=2, num_classes=2)
         data = blob_dataset(6, seed=1)

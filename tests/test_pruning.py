@@ -375,6 +375,32 @@ class TestRetrieveDense:
         assert retrieve_dense(x, led)[0, 0] == acc
 
 
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_wide_tokens_sum_parents_in_journal_order(self, width):
+        # a (P, C) table summed over axis 0 must add whole rows in journal
+        # order, as the per-parent loop does, for every width above one
+        rng = np.random.default_rng(20 + width)
+        n, pruned = 60, 40
+        order = rng.permutation(n)
+        events = []
+        for k, tok in enumerate(order[:pruned].tolist()):
+            alive = order[k + 1:]
+            parents = rng.choice(alive, size=min(alive.size, 25), replace=False)
+            shares = rng.random(parents.size) * 10.0 ** rng.integers(-8, 8, parents.size)
+            shares /= shares.sum()
+            events.append(PruneEvent(1, tok, 1.0, dict(zip(parents.tolist(), shares.tolist()))))
+        led = PruneLedger(n_tokens=n, events=events)
+        rows = (n - pruned, width)
+        x = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows)
+        ref = np.zeros((n, width))
+        ref[led.survivors()] = x
+        for e in reversed(events):
+            acc = np.zeros(width)
+            for idx, wgt in e.parents.items():
+                acc += wgt * ref[idx]
+            ref[e.token] = acc
+        assert retrieve_dense(x, led).tobytes() == ref.tobytes()
+
     def test_negative_zero_total_is_positive_zero(self):
         # the replay starts from a zero accumulator: 0.0 + 1.0 * -0.0 is +0.0
         led = PruneLedger(n_tokens=2, events=[PruneEvent(1, 0, 1.0, {1: 1.0})])

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from depvit import NumericError, ShapeError, UsageError
 from depvit import tensor as T
+from oracles import gelu_kernel, layer_norm_kernel, sigmoid_kernel, softmax_rows_kernel
 
 
 def randu(rng, shape, lo=-1.0, hi=1.0):
@@ -197,6 +198,58 @@ class TestPropertyInvariants:
         rng = np.random.default_rng(seed)
         x = T.tensor(rng.normal(size=(4, 7)), dtype=np.float64)
         np.testing.assert_allclose(T.transpose_last2(T.transpose_last2(x)).data, x.data)
+
+
+class TestKernelExactness:
+    """The row kernels against their one-array-per-step oracles.
+
+    The kernels reuse their own temporaries; that must change no bit of the
+    output or of the input gradients, and must never write into an input.
+    """
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           magnitude=st.integers(-3, 4),
+           temperature=st.sampled_from([1e-3, 0.1, 1.0, 8.0, 1e3]))
+    @settings(max_examples=150, deadline=None)
+    def test_kernels_match_oracle_and_leave_inputs_alone(self, seed, dtype, magnitude,
+                                                         temperature):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(1, 12, size=rng.integers(2, 4)))
+        x = rng.standard_normal(shape) * 10.0 ** magnitude  # large logits at 1e4
+        x.reshape(-1, shape[-1])[0] = 0.0  # a constant row
+        x.flat[rng.integers(0, x.size, 3)] = -0.0
+        x = x.astype(dtype)
+        gain = rng.standard_normal(shape[-1]).astype(dtype)
+        bias = (rng.standard_normal(shape[-1]) * 10.0 ** magnitude).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        cases = [
+            (lambda ts: T.softmax_rows(ts[0], temperature), [x],
+             lambda: softmax_rows_kernel(x, temperature, g)),
+            (lambda ts: T.gelu(ts[0]), [x], lambda: gelu_kernel(x, g)),
+            (lambda ts: T.sigmoid(ts[0]), [x], lambda: sigmoid_kernel(x, g)),
+            (lambda ts: T.layer_norm(*ts), [x, gain, bias],
+             lambda: layer_norm_kernel(x, gain, bias, g)),
+        ]
+        for kernel, arrays, oracle in cases:
+            before = [a.tobytes() for a in arrays + [g]]
+            inputs = [T.Tensor(a, requires_grad=True) for a in arrays]  # no copy
+            with T.Tape() as tape:
+                out = kernel(inputs)
+            grads = tape._records[-1].backward(g)
+            for got, want in zip((out.data, *grads), oracle()):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert [a.tobytes() for a in arrays + [g]] == before
+            assert not any(np.shares_memory(out.data, a) for a in arrays)
+
+    @pytest.mark.parametrize("idx", [[2, 0, 2], [0, 1, 2, 3]])
+    def test_gather_rows_output_owns_its_data(self, idx):
+        x = np.arange(12.0).reshape(4, 3)
+        out = T.gather_rows(T.Tensor(x), idx)
+        assert not np.shares_memory(out.data, x)
+        out.data[...] = -1.0
+        assert np.array_equal(x, np.arange(12.0).reshape(4, 3))
 
 
 class TestGradients:
