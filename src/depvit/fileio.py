@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,85 +28,103 @@ MAGIC = b"DVTN"
 VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_U32 = struct.Struct("<I")
 
 
 def write_container(path, entries: dict[str, np.ndarray]) -> None:
-    """Write named arrays in declaration order; float32/float64 only."""
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", VERSION)
-    buf += struct.pack("<I", len(entries))
+    """Write named arrays in declaration order; float32/float64 only.
+
+    Headers are packed before the file is opened, so a rejected entry leaves
+    no partial file; payloads go to the file from each array's own buffer.
+    """
+    parts = []
     for name, arr in entries.items():
         arr = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
         if arr.dtype not in _CODES:
             raise UsageError(f"entry {name!r} has unsupported dtype {arr.dtype}")
         raw = name.encode("utf-8")
-        buf += struct.pack("<I", len(raw))
-        buf += raw
-        buf += struct.pack("<I", _CODES[arr.dtype])
-        buf += struct.pack("<I", arr.ndim)
-        for ext in arr.shape:
-            buf += struct.pack("<I", ext)
-        buf += np.ascontiguousarray(arr, dtype=_DTYPES[_CODES[arr.dtype]]).tobytes()
-    Path(path).write_bytes(bytes(buf))
+        code = _CODES[arr.dtype]
+        header = (struct.pack("<I", len(raw)) + raw
+                  + struct.pack(f"<II{arr.ndim}I", code, arr.ndim, *arr.shape))
+        parts.append((header, np.ascontiguousarray(arr, dtype=_DTYPES[code])))
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<II", VERSION, len(parts)))
+        for header, arr in parts:
+            f.write(header)
+            f.write(arr.data)
 
 
 def read_container(path) -> dict[str, np.ndarray]:
-    """Parse a container file back into named arrays, strictly."""
-    data = Path(path).read_bytes()
-    pos = 0
+    """Parse a container file back into named arrays, strictly.
 
-    def need(nbytes: int, what: str) -> int:
-        nonlocal pos
-        if len(data) - pos < nbytes:
-            raise FormatError(f"truncated while reading {what}", offset=pos)
-        start = pos
-        pos += nbytes
-        return start
+    Each payload is checked against the bytes left in the file, then read
+    straight into its own fresh array: one copy, aligned, writable and
+    unshared.  A short read, from a file that shrank while open, is a
+    truncation too.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        pos = 0
 
-    def u32(what: str) -> int:
-        start = need(4, what)
-        return struct.unpack_from("<I", data, start)[0]
+        # ``what`` is formatted with ``args`` only when it goes into an error
+        def truncated(what: str, args: tuple, offset: int) -> FormatError:
+            return FormatError(f"truncated while reading {what.format(*args)}", offset=offset)
 
-    start = need(4, "magic")
-    if data[start:start + 4] != MAGIC:
-        raise FormatError("bad magic, not a tensor container", offset=start)
-    version_at = pos
-    version = u32("version")
-    if version != VERSION:
-        raise FormatError(f"unsupported container version {version}", offset=version_at)
-    count = u32("entry count")
-    out: dict[str, np.ndarray] = {}
-    for i in range(count):
-        nlen = u32(f"name length of entry {i}")
-        name_at = need(nlen, f"name of entry {i}")
-        try:
-            name = data[name_at:name_at + nlen].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"entry {i} name is not UTF-8", offset=name_at) from exc
-        if name in out:
-            raise FormatError(f"duplicate entry name {name!r}", offset=name_at)
-        code_at = pos
-        code = u32(f"dtype of {name!r}")
-        if code not in _DTYPES:
-            raise FormatError(f"unknown dtype code {code}", offset=code_at)
-        rank = u32(f"rank of {name!r}")
-        shape = tuple(u32(f"extent {d} of {name!r}") for d in range(rank))
-        n_elem = 1
-        for ext in shape:
-            n_elem *= ext
-        nbytes = n_elem * _DTYPES[code].itemsize
-        payload_at = need(nbytes, f"payload of {name!r}")
-        arr = np.frombuffer(data, dtype=_DTYPES[code], count=n_elem, offset=payload_at)
-        try:
-            # an empty entry can still declare extents whose product overflows
-            arr = arr.reshape(shape)
-        except ValueError as exc:
-            raise FormatError(f"entry {name!r} has unrepresentable shape {shape}",
-                              offset=payload_at) from exc
-        out[name] = arr.copy()
-    if pos != len(data):
-        raise FormatError("trailing bytes after final entry", offset=pos)
+        def need(nbytes: int, what: str, *args) -> int:
+            nonlocal pos
+            if size - pos < nbytes:
+                raise truncated(what, args, pos)
+            start = pos
+            pos += nbytes
+            return start
+
+        def take(nbytes: int, what: str, *args) -> tuple[bytes, int]:
+            start = need(nbytes, what, *args)
+            raw = f.read(nbytes)
+            if len(raw) != nbytes:
+                raise truncated(what, args, start)
+            return raw, start
+
+        def u32(what: str, *args) -> int:
+            return _U32.unpack(take(4, what, *args)[0])[0]
+
+        magic, start = take(4, "magic")
+        if magic != MAGIC:
+            raise FormatError("bad magic, not a tensor container", offset=start)
+        version_at = pos
+        version = u32("version")
+        if version != VERSION:
+            raise FormatError(f"unsupported container version {version}", offset=version_at)
+        count = u32("entry count")
+        out: dict[str, np.ndarray] = {}
+        for i in range(count):
+            nlen = u32("name length of entry {}", i)
+            raw, name_at = take(nlen, "name of entry {}", i)
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"entry {i} name is not UTF-8", offset=name_at) from exc
+            if name in out:
+                raise FormatError(f"duplicate entry name {name!r}", offset=name_at)
+            code_at = pos
+            code = u32("dtype of {!r}", name)
+            if code not in _DTYPES:
+                raise FormatError(f"unknown dtype code {code}", offset=code_at)
+            rank = u32("rank of {!r}", name)
+            shape = tuple(u32("extent {} of {!r}", d, name) for d in range(rank))
+            nbytes = math.prod(shape) * _DTYPES[code].itemsize
+            payload_at = need(nbytes, "payload of {!r}", name)
+            try:
+                # an empty entry can still declare extents whose product overflows
+                arr = np.empty(shape, dtype=_DTYPES[code])
+            except ValueError as exc:
+                raise FormatError(f"entry {name!r} has unrepresentable shape {shape}",
+                                  offset=payload_at) from exc
+            if f.readinto(arr) != nbytes:
+                raise truncated("payload of {!r}", (name,), payload_at)
+            out[name] = arr
+        if pos != size or f.read(1):
+            raise FormatError("trailing bytes after final entry", offset=pos)
     return out
 
 

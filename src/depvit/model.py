@@ -135,14 +135,12 @@ class ModelWeights:
     @classmethod
     def from_named_tensors(cls, config, tensors: dict[str, Tensor]) -> "ModelWeights":
         """Inverse of named_tensors for a matching configuration."""
-        blocks = []
-        for i in range(config.layers):
-            prefix = f"block{i:02d}."
-            fields = {
-                name[len(prefix):]: t
-                for name, t in tensors.items() if name.startswith(prefix)
-            }
-            blocks.append(BlockWeights(heads=config.heads, **fields))
+        fields: dict[str, dict[str, Tensor]] = {f"block{i:02d}": {} for i in range(config.layers)}
+        for name, t in tensors.items():
+            head, dot, field = name.partition(".")
+            if dot and head in fields:
+                fields[head][field] = t
+        blocks = [BlockWeights(heads=config.heads, **kw) for kw in fields.values()]
         return cls(
             patch_proj=tensors["patch_proj"],
             patch_bias=tensors["patch_bias"],

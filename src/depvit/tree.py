@@ -5,8 +5,9 @@ Tree recovery treats that as the weight of attaching child i under parent j
 and finds the maximum spanning arborescence with exactly one root, where
 making node i the root scores i's total received mass.  One iterative
 contraction pass enforces the single root (Gabow & Tarjan 1984; Zmigrod,
-Vieira & Cotterell 2020).  Every argmax picks the lowest index, so exactly
-tied optima resolve the same way on every run.
+Vieira & Cotterell 2020), contracting incrementally (Tarjan 1977).  Every
+argmax picks the lowest index, so exactly tied optima resolve the same way
+on every run.
 """
 
 from __future__ import annotations
@@ -107,64 +108,89 @@ def argmax_graph(mask: np.ndarray) -> np.ndarray:
     return np.argmax(w, axis=0).astype(np.int64)
 
 
-def _find_cycle(parent: np.ndarray) -> np.ndarray:
-    """The cycle reached by following parents from node 0; every node has a parent."""
-    parent = parent.tolist()
-    seen_at: dict[int, int] = {}
-    v = 0
-    while v not in seen_at:
-        seen_at[v] = len(seen_at)
-        v = parent[v]
-    walk = list(seen_at)
-    return np.sort(np.array(walk[seen_at[v]:], dtype=np.int64))
-
-
 def _max_arborescence(w: np.ndarray, root_w: np.ndarray) -> np.ndarray:
     """Best parents with exactly one root, in one contraction pass.
 
     ``w[p][c]`` scores edge p -> c and ``root_w[c]`` makes c the root.  While
-    two or more (super)nodes remain, each takes its greedy parent among the
-    others; that graph always holds a cycle, which is contracted into a
-    supernode whose entering edges (its root edge included) are rescored by
-    how much they improve on the cycle edge they replace.  The last node left
-    takes its root edge, and the levels are expanded back out.  Root edges are
-    only ever compared with each other, so the single-root constraint needs no
-    penalty constant and no second solve.
-    """
-    levels = []
-    while w.shape[0] > 1:
-        parent = argmax_graph(w)
-        cyc = _find_cycle(parent)
-        keep = np.setdiff1d(np.arange(w.shape[0]), cyc)
-        k = keep.size
-        cycle_cost = w[parent[cyc], cyc]
-        enter = w[np.ix_(keep, cyc)] - cycle_cost
-        leave = w[np.ix_(cyc, keep)]
-        root_gain = root_w[cyc] - cycle_cost
-        levels.append((
-            parent, keep, cyc[enter.argmax(axis=1)], cyc[leave.argmax(axis=0)],
-            cyc[root_gain.argmax()],
-        ))
-        sub = np.empty((k + 1, k + 1))
-        sub[:k, :k] = w[np.ix_(keep, keep)]
-        sub[:k, k] = enter.max(axis=1)
-        sub[k, :k] = leave.max(axis=0)
-        sub[k, k] = _NEG
-        w = sub
-        root_w = np.append(root_w[keep], root_gain.max())
+    two or more (super)nodes remain, each has a greedy parent among the
+    others; the walk along greedy parents from the lowest live node ends in a
+    cycle, which is contracted into a supernode whose entering edges (its
+    root edge included) are rescored by how much they improve on the cycle
+    edge they replace.  The last node left takes its root edge, and the
+    levels are expanded back out.  Root edges are only ever compared with
+    each other, so the single-root constraint needs no penalty constant and
+    no second solve.
 
-    out = np.array([-1], dtype=np.int64)
-    for parent, keep, enter_at, leave_from, root_at in reversed(levels):
-        k = keep.size
-        sub_parent, sup_parent = out[:k], out[k]
-        out = parent.copy()  # cycle edges kept, except where the cycle is entered
-        lifted = np.append(keep, -1)[sub_parent]  # the root's -1 stays -1
-        out[keep] = np.where(sub_parent == k, leave_from, lifted)
+    Contraction is incremental, after Tarjan's dense branching (1977): in
+    one n x n working matrix a supernode takes over the row, column and slot
+    of its lowest cycle member, so a level costs O(|cycle| k) over k live
+    nodes.  Only the supernode and the nodes whose greedy parent fell into
+    the cycle pick a fresh parent; any other parent still wins, since the
+    supernode offers no more than its best member did and, as the newest
+    node, loses every exact tie.  Supernodes are numbered n, n+1, ... in
+    creation order and live slots are kept in id order, the node order of a
+    level matrix rebuilt from scratch, so every argmax still takes the
+    lowest id on ties and the walk (resumed below the cycle it last closed)
+    still starts at the lowest live id.
+    """
+    n = root_w.size
+    w = w.copy()
+    np.fill_diagonal(w, _NEG)
+    root_w = root_w.copy()
+    node = np.arange(n)  # id of the (super)node in each slot
+    live = np.ones(n, dtype=bool)
+    alive = np.arange(n)  # live slots by increasing id
+    parent = w.argmax(axis=0)  # greedy parent slot of each live slot
+    path: list[int] = []  # greedy walk from the lowest live id, as slots
+    on_path = [False] * n
+    levels = []
+    while alive.size > 1:
+        if not path:
+            path.append(int(alive[0]))
+            on_path[path[0]] = True
+        v = int(parent[path[-1]])
+        while not on_path[v]:
+            path.append(v)
+            on_path[v] = True
+            v = int(parent[v])
+        at = path.index(v)
+        live[path[at:]] = False
+        del path[at:]
+        in_keep = live[alive]
+        keep, cyc = alive[in_keep], alive[~in_keep]
+        cycle_parent = parent[cyc]
+        cycle_cost = w[cycle_parent, cyc]
+        enter = w[keep, cyc[:, None]] - cycle_cost[:, None]  # cycle member x keep
+        leave = w[cyc[:, None], keep]
+        root_gain = root_w[cyc] - cycle_cost
+        ids = node[cyc]
+        levels.append((
+            ids, node[cycle_parent], node[keep], ids[enter.argmax(axis=0)],
+            ids[leave.argmax(axis=0)], ids[root_gain.argmax()],
+        ))
+        s = int(cyc[0])  # the supernode's slot
+        w[keep, s] = enter.max(axis=0)
+        w[s, keep] = leave.max(axis=0)
+        root_w[s] = root_gain.max()
+        node[s] = n + len(levels) - 1
+        on_path[s] = False
+        stale = np.append(keep[~live[parent[keep]]], s)
+        live[s] = True
+        alive = np.append(keep, s)
+        parent[stale] = alive[w[alive, stale[:, None]].argmax(axis=1)]
+
+    out = np.full(n + len(levels), -1, dtype=np.int64)  # parent id of each id
+    for x in range(out.size - 1, n - 1, -1):
+        ids, cycle_parent, keep, enter_at, leave_from, root_at = levels[x - n]
+        hit = out[keep] == x
+        out[keep[hit]] = leave_from[hit]
+        sup_parent = out[x]
+        out[ids] = cycle_parent  # cycle edges kept, except where the cycle is entered
         if sup_parent == -1:
             out[root_at] = -1
         else:
-            out[enter_at[sup_parent]] = keep[sup_parent]
-    return out
+            out[enter_at[keep.searchsorted(sup_parent)]] = sup_parent
+    return out[:n]
 
 
 def chu_liu_edmonds(scores: np.ndarray, root_scores: np.ndarray) -> DependencyTree:

@@ -49,6 +49,86 @@ def brute_best_arborescence(scores: np.ndarray, root_scores: np.ndarray):
     return totals[best], assign[best], n_opt
 
 
+
+# The level-rebuild arborescence solver, kept as the reference for the
+# incremental one in ``depvit.tree``: each contraction level rebuilds the
+# whole (k+1) x (k+1) level matrix.  ``_max_arborescence`` is verbatim;
+# the two helpers are copied without the package's argument checks.
+
+_NEG = -np.inf
+
+
+def argmax_graph(mask: np.ndarray) -> np.ndarray:
+    w = mask.copy()
+    np.fill_diagonal(w, _NEG)
+    return np.argmax(w, axis=0).astype(np.int64)
+
+
+def _find_cycle(parent: np.ndarray) -> np.ndarray:
+    """The cycle reached by following parents from node 0; every node has a parent."""
+    parent = parent.tolist()
+    seen_at: dict[int, int] = {}
+    v = 0
+    while v not in seen_at:
+        seen_at[v] = len(seen_at)
+        v = parent[v]
+    walk = list(seen_at)
+    return np.sort(np.array(walk[seen_at[v]:], dtype=np.int64))
+
+
+def _max_arborescence(w: np.ndarray, root_w: np.ndarray) -> np.ndarray:
+    """Best parents with exactly one root, in one contraction pass.
+
+    ``w[p][c]`` scores edge p -> c and ``root_w[c]`` makes c the root.  While
+    two or more (super)nodes remain, each takes its greedy parent among the
+    others; that graph always holds a cycle, which is contracted into a
+    supernode whose entering edges (its root edge included) are rescored by
+    how much they improve on the cycle edge they replace.  The last node left
+    takes its root edge, and the levels are expanded back out.  Root edges are
+    only ever compared with each other, so the single-root constraint needs no
+    penalty constant and no second solve.
+    """
+    levels = []
+    while w.shape[0] > 1:
+        parent = argmax_graph(w)
+        cyc = _find_cycle(parent)
+        keep = np.setdiff1d(np.arange(w.shape[0]), cyc)
+        k = keep.size
+        cycle_cost = w[parent[cyc], cyc]
+        enter = w[np.ix_(keep, cyc)] - cycle_cost
+        leave = w[np.ix_(cyc, keep)]
+        root_gain = root_w[cyc] - cycle_cost
+        levels.append((
+            parent, keep, cyc[enter.argmax(axis=1)], cyc[leave.argmax(axis=0)],
+            cyc[root_gain.argmax()],
+        ))
+        sub = np.empty((k + 1, k + 1))
+        sub[:k, :k] = w[np.ix_(keep, keep)]
+        sub[:k, k] = enter.max(axis=1)
+        sub[k, :k] = leave.max(axis=0)
+        sub[k, k] = _NEG
+        w = sub
+        root_w = np.append(root_w[keep], root_gain.max())
+
+    out = np.array([-1], dtype=np.int64)
+    for parent, keep, enter_at, leave_from, root_at in reversed(levels):
+        k = keep.size
+        sub_parent, sup_parent = out[:k], out[k]
+        out = parent.copy()  # cycle edges kept, except where the cycle is entered
+        lifted = np.append(keep, -1)[sub_parent]  # the root's -1 stays -1
+        out[keep] = np.where(sub_parent == k, leave_from, lifted)
+        if sup_parent == -1:
+            out[root_at] = -1
+        else:
+            out[enter_at[sup_parent]] = keep[sup_parent]
+    return out
+
+
+def level_rebuild_arborescence(scores: np.ndarray, root_scores: np.ndarray) -> np.ndarray:
+    """Parents from the level-rebuild solver, on float64 copies of the inputs."""
+    return _max_arborescence(np.asarray(scores, dtype=np.float64),
+                             np.asarray(root_scores, dtype=np.float64))
+
 def brute_best_assignment(score: np.ndarray):
     """All injective part->truth matchings by permutation enumeration.
 

@@ -1,8 +1,11 @@
 """Tests for the tensor container, PPM reader, config parser, and tree JSON."""
 
+import itertools
 import json
+import os
 import struct
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from depvit.fileio import (
     write_json,
     write_ppm,
 )
-from depvit.model import ModelConfig, init_weights
+from depvit.model import ModelConfig, init_weights, parameter_shapes
 from depvit.tree import DependencyTree
 
 
@@ -131,6 +134,89 @@ class TestContainer:
         write_container(p, {"a": np.zeros((0, 3)), "b": np.zeros((2, 0, 5), dtype=np.float32)})
         back = read_container(p)
         assert back["a"].shape == (0, 3) and back["b"].shape == (2, 0, 5)
+
+    def test_huge_entry_in_a_small_file_is_not_allocated(self, tmp_path, monkeypatch):
+        # a (65536, 65536) float64 entry declares 32 GiB of payload
+        head = container_header(1) + entry_header("a", 1, (65536, 65536))
+        p = tmp_path / "x.dvtn"
+        p.write_bytes(head + b"\x00" * 16)
+        allocated = []
+
+        def recording_empty(*args, **kwargs):
+            allocated.append(args)
+            return empty(*args, **kwargs)
+
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", recording_empty)
+        with pytest.raises(FormatError) as err:
+            read_container(p)
+        assert err.value.offset == len(head)
+        assert str(err.value) == f"truncated while reading payload of 'a' (byte offset {len(head)})"
+        assert allocated == []
+
+    @pytest.mark.parametrize("code, shape", [
+        (1, (2**32 - 1,) * 3 + (0,)),
+        (0, (2**31, 0, 2**31, 2**31)),
+        (1, (0,) * 65),
+    ])
+    def test_empty_entry_numpy_cannot_shape(self, tmp_path, code, shape):
+        head = container_header(1) + entry_header("a", code, shape)
+        p = tmp_path / "x.dvtn"
+        p.write_bytes(head)
+        with pytest.raises(FormatError) as err:
+            read_container(p)
+        assert "unrepresentable shape" in str(err.value)
+        assert err.value.offset == len(head)
+
+    @pytest.mark.parametrize("resize, message", [
+        (lambda raw: raw[:-8], "truncated while reading payload of 'a' (byte offset 33)"),
+        (lambda raw: raw + b"junk", "trailing bytes after final entry (byte offset 49)"),
+    ])
+    def test_file_changing_size_after_open(self, tmp_path, monkeypatch, resize, message):
+        # checks use the size taken at open; the reads find the real bytes
+        good = tmp_path / "good.dvtn"
+        write_container(good, {"a": np.ones((2, 2), dtype=np.float32)})
+        raw = good.read_bytes()
+        assert len(raw) == 49
+        p = tmp_path / "x.dvtn"
+        p.write_bytes(resize(raw))
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(raw)))
+        with pytest.raises(FormatError) as err:
+            read_container(p)
+        assert str(err.value) == message
+
+    def test_arrays_are_fresh_aligned_and_writable(self, tmp_path):
+        cfg = ModelConfig(image_size=32, patch_size=16, channels=8, heads=2,
+                          layers=2, num_classes=4, seed=3)
+        p = tmp_path / "w.dvtn"
+        save_weights(p, init_weights(cfg))
+        entries = read_container(p)
+        loaded = {k: t.data for k, t in load_weights(p, cfg).named_tensors().items()}
+        for arrays in (entries, loaded):
+            assert len(arrays) == len(parameter_shapes(cfg))
+            for arr in arrays.values():
+                assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+            for a, b in itertools.combinations(arrays.values(), 2):
+                assert not np.shares_memory(a, b)
+
+    def test_writer_bytes_match_hand_built_file(self, tmp_path):
+        m = np.arange(6, dtype=np.float32).reshape(2, 3)
+        s = np.float64(-2.5)
+        strided = np.arange(8.0)[::2]
+        p = tmp_path / "x.dvtn"
+        write_container(p, {"m": m, "s": s, "strided": strided, "\u00e9": np.zeros((0, 2))})
+        expected = (container_header(4)
+                    + entry_header("m", 0, (2, 3)) + struct.pack("<6f", 0, 1, 2, 3, 4, 5)
+                    + entry_header("s", 1, ()) + struct.pack("<d", -2.5)
+                    + entry_header("strided", 1, (4,)) + struct.pack("<4d", 0, 2, 4, 6)
+                    + entry_header("\u00e9", 1, (0, 2)))
+        assert p.read_bytes() == expected
+
+    def test_rejected_entry_leaves_no_file(self, tmp_path):
+        p = tmp_path / "x.dvtn"
+        with pytest.raises(UsageError):
+            write_container(p, {"a": np.ones(2), "b": np.zeros(2, dtype=np.int32)})
+        assert not p.exists()
 
     def test_tokens_entry_helper(self, tmp_path):
         with pytest.raises(FormatError):

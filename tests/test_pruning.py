@@ -556,6 +556,7 @@ class TestLedgerValidationOracle:
 
 
 class TestJournalScale:
+    @pytest.mark.slow
     def test_journal_at_1024_tokens(self, tmp_path):
         # no runtime cliff up to 1024 tokens: four steps down to 128 journal
         # 896 events with about half a million parent entries

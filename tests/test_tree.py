@@ -4,10 +4,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from depvit import IntegrityError, UsageError
 from depvit.block import AttentionState
-from depvit.model import ModelConfig, init_weights, model_forward
+from depvit.data import blob_dataset
+from depvit.model import ModelConfig, init_weights, model_forward, tiny
 from depvit.tree import (
     DependencyTree,
     aggregate_masks,
@@ -17,7 +21,7 @@ from depvit.tree import (
     partition_subtrees,
     received_mass,
 )
-from oracles import brute_best_arborescence
+from oracles import brute_best_arborescence, level_rebuild_arborescence
 
 
 def state_for(mask, indices=None):
@@ -166,6 +170,7 @@ class TestChuLiuEdmonds:
         with pytest.raises(NumericError):
             chu_liu_edmonds(np.array([[np.inf, 1], [1, 0]]), np.array([1.0, 1.0]))
 
+    @pytest.mark.slow
     def test_mutual_pairs_at_1024_tokens(self):
         # 512 mutual pairs make the greedy graph 512 two-cycles, so the pass
         # contracts over 500 levels; every pair keeps one of its own edges
@@ -178,6 +183,70 @@ class TestChuLiuEdmonds:
         assert time.monotonic() - t0 < 60.0
         tree.validate()
         assert ((tree.parent[even] == even + 1) | (tree.parent[even + 1] == even)).all()
+
+    @pytest.mark.slow
+    def test_growing_supernode_chain_at_1024_tokens(self):
+        # node c prefers parent c + 1 and then c - 1, so every level closes a
+        # 2-cycle between the newest supernode and the next node down: 1023
+        # levels, each absorbing one node into one growing supernode
+        n = 1024
+        mask = np.zeros((n, n))
+        c = np.arange(n - 1)
+        mask[c + 1, c] = 1.0
+        mask[c, c + 1] = 1.0 - 2.0 ** -12
+        t0 = time.monotonic()
+        tree = induce_tree(mask)
+        assert time.monotonic() - t0 < 60.0
+        np.testing.assert_array_equal(tree.parent, np.append(np.arange(1, n - 1), [-1, n - 2]))
+
+
+@st.composite
+def tied_instances(draw):
+    """Scores in {0, 1, 2}, root scores often all equal: many exact ties."""
+    n = draw(st.integers(1, 12))
+    scores = draw(arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 1.0, 2.0])))
+    if draw(st.booleans()):
+        roots = np.full(n, draw(st.sampled_from([0.0, 1.0, 2.0])))
+    else:
+        roots = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0, 2.0])))
+    return scores, roots
+
+
+@st.composite
+def uniform_instances(draw):
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(size=(n, n)), rng.uniform(size=n)
+
+
+def assert_same_parents_as_level_rebuild(scores, roots):
+    expected = level_rebuild_arborescence(scores, roots)
+    parent = chu_liu_edmonds(scores, roots).parent
+    assert parent.dtype == expected.dtype
+    assert parent.tobytes() == expected.tobytes()
+
+
+class TestLevelRebuildOracle:
+    """The incremental solver returns exactly the level-rebuild solver's
+    parents, ties included."""
+
+    @given(tied_instances())
+    @settings(max_examples=400, deadline=None)
+    def test_tie_heavy_scores(self, instance):
+        assert_same_parents_as_level_rebuild(*instance)
+
+    @given(uniform_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_uniform_scores(self, instance):
+        assert_same_parents_as_level_rebuild(*instance)
+
+    def test_tiny_model_mask_at_196_tokens(self):
+        cfg = tiny(num_classes=2, seed=1)
+        scene = blob_dataset(1, seed=1, grid=cfg.grid, patch=cfg.patch_size)[0]
+        res = model_forward(scene.image, cfg, init_weights(cfg))
+        mask = np.asarray(aggregate_masks(res.states), dtype=np.float64)
+        assert mask.shape == (196, 196)
+        assert_same_parents_as_level_rebuild(mask, mask.sum(axis=1))
 
 
 class TestDependencyTreeInvariants:
