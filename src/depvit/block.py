@@ -85,19 +85,17 @@ class AttentionState:
     until pruning shrinks the working set).
     """
 
-    mask: np.ndarray                      # (N, N) sum of reversed heads
-    cumulative_gate: np.ndarray           # (N,) product up through this block
-    token_indices: np.ndarray             # (N,) original index of each row/column
-    head_probs: np.ndarray | None = None  # (N, H)
-    gate: np.ndarray | None = None        # (N,) this block's gate
+    mask: np.ndarray             # (N, N) sum of reversed heads
+    cumulative_gate: np.ndarray  # (N,) product up through this block
+    token_indices: np.ndarray    # (N,) original index of each row/column
 
 
 def init_block_weights(channels: int, heads: int, rng: np.random.Generator,
-                       dtype=np.float32, std: float = 0.02) -> BlockWeights:
-    """Truncated-normal weights (std 0.02); layer norms start at identity."""
+                       dtype=np.float32) -> BlockWeights:
+    """Truncated-normal weights; layer norms start at identity."""
 
     def w(*shape):
-        return tn.tensor(tn.truncated_normal(rng, shape, std), dtype=dtype, requires_grad=True)
+        return tn.tensor(tn.truncated_normal(rng, shape), dtype=dtype, requires_grad=True)
 
     c = channels
     ones = tn.tensor(np.ones(c), dtype=dtype, requires_grad=True)
@@ -185,15 +183,13 @@ def block_forward(x: Tensor, weights: BlockWeights, gate_prev: Tensor,
     x_norm = tn.layer_norm(x, weights.ln1_gain, weights.ln1_bias)
     attn, values = forward_attention(x_norm, weights)
     probs = head_selector(x_norm, weights.w_head, temperature)
-    gate, gate_cum = message_controller(x_norm, weights.gate_w1, weights.gate_w2, gate_prev)
+    _, gate_cum = message_controller(x_norm, weights.gate_w1, weights.gate_w2, gate_prev)
     rev, mask = reverse_compose(attn, probs, gate_cum)
     head_out = tn.batched_matmul(rev, values)
     state = AttentionState(
         mask=mask.data,  # nothing else reads it: the sum's backward never does
         cumulative_gate=gate_cum.data.copy(),
         token_indices=np.arange(n, dtype=np.int64),
-        head_probs=probs.data.copy(),
-        gate=gate.data.copy(),
     )
 
     mixed = tn.matmul(tn.merge_heads(head_out), weights.w_o)

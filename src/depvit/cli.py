@@ -60,7 +60,13 @@ def _load_input(path: str, config) -> np.ndarray:
     if suffix == ".ppm":
         return read_ppm(path)
     if suffix == ".dvtn":
-        return retrieve_tokens_entry(read_container(path), path)
+        tokens = retrieve_tokens_entry(read_container(path), path)
+        want = (config.tokens, config.channels)
+        if tokens.shape != want:
+            raise FormatError(f"{path}: 'tokens' shaped {tokens.shape}, config wants {want}")
+        if not np.isfinite(tokens).all():
+            raise FormatError(f"{path}: 'tokens' holds non-finite values")
+        return tokens
     raise UsageError(f"unsupported input {path!r}; expected .ppm or .dvtn")
 
 
@@ -101,8 +107,8 @@ def _cmd_prune(args) -> int:
 
 def _int_grid(path: str) -> LabelGrid:
     arr = load_grid_values(path)
-    if not np.all(arr == np.rint(arr)):
-        raise UsageError(f"{path}: part labels must be integers")
+    if not np.all((arr == np.rint(arr)) & (np.abs(arr) < 2.0 ** 63)):  # NaN, inf fail
+        raise UsageError(f"{path}: part labels must be integers that fit int64")
     return LabelGrid.from_labels(arr.astype(np.int64))
 
 

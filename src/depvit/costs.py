@@ -10,7 +10,6 @@ in channels; the linear figure sometimes quoted for it is carried along as
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +78,6 @@ class CostReport:
             "breakdown": dict(self.breakdown),
             "controller_claim": self.controller_claim,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def table(self) -> str:
         """Human-readable fixed-width summary."""

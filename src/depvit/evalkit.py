@@ -1,4 +1,4 @@
-"""Unsupervised structure evaluation: part matching, clustering, saliency.
+"""Unsupervised structure evaluation: part matching and saliency.
 
 Predicted structures are compared against reference label grids at patch
 resolution.  Parts are matched one-to-one with a maximum-score assignment
@@ -8,7 +8,6 @@ a token affinity graph, optionally sharpened by a dependency mask.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -46,10 +45,6 @@ class LabelGrid:
                           or not np.array_equal(vals, np.arange(vals.size))):
             raise ShapeError("labels must be -1 or dense 0..m-1")
 
-    def part_ids(self) -> np.ndarray:
-        vals = np.unique(self.labels)
-        return vals[vals >= 0]
-
 
 @dataclass
 class MetricReport:
@@ -77,9 +72,6 @@ class MetricReport:
             "acc": self.acc,
             "matching": [[int(p), int(g)] for p, g in self.matching],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _best_total(scores: np.ndarray) -> float:
@@ -164,80 +156,6 @@ def part_metrics(pred: LabelGrid, gt: LabelGrid) -> MetricReport:
     return report
 
 
-def kmeans(tokens: np.ndarray, k: int, seed: int = 0,
-           max_iters: int = 100, tol: float = 1e-6):
-    """Lloyd clustering with distance-weighted seeding.
-
-    Returns (labels, centers, inertia_history); empty clusters are dropped
-    and the surviving labels re-densified, so the effective cluster count
-    can be below k.
-    """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[0] == 0:
-        raise ShapeError("tokens must be a non-empty N x C matrix")
-    n = tokens.shape[0]
-    if not 1 <= k <= n:
-        raise UsageError(f"k = {k} must lie in 1..{n}")
-    rng = np.random.default_rng(seed)
-
-    centers = tokens[[int(rng.integers(n))]]
-    while centers.shape[0] < k:
-        d2 = np.min(
-            ((tokens[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1
-        )
-        total = d2.sum()
-        if total <= 0.0:
-            pick = int(rng.integers(n))
-        else:
-            pick = int(rng.choice(n, p=d2 / total))
-        centers = np.vstack([centers, tokens[pick]])
-
-    history: list[float] = []
-    labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iters):
-        d2 = ((tokens[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(n), labels].sum()))
-        new_centers = []
-        for c in range(centers.shape[0]):
-            members = tokens[labels == c]
-            if members.shape[0]:
-                new_centers.append(members.mean(axis=0))
-        new_centers = np.asarray(new_centers)
-        if new_centers.shape == centers.shape:
-            shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
-            centers = new_centers
-            if shift < tol:
-                break
-        else:
-            centers = new_centers  # a cluster emptied; keep iterating
-    d2 = ((tokens[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    # densify: relabel surviving clusters 0..m-1 in first-appearance order
-    _, dense = np.unique(labels, return_inverse=True)
-    order = {}
-    out = np.empty(n, dtype=np.int64)
-    for i, lab in enumerate(dense):
-        if lab not in order:
-            order[lab] = len(order)
-        out[i] = order[lab]
-    return out, centers, history
-
-
-def _square_grid_side(n: int) -> int:
-    side = math.isqrt(n)
-    if side * side != n:
-        raise UsageError(f"{n} tokens do not form a square patch grid")
-    return side
-
-
-def kmeans_parts(tokens: np.ndarray, k: int, seed: int = 0) -> LabelGrid:
-    """Cluster token features and lay the labels out on the patch grid."""
-    labels, _, _ = kmeans(tokens, k, seed)
-    side = _square_grid_side(labels.size)
-    return LabelGrid.from_labels(labels.reshape(side, side))
-
-
 def fiedler_vector(affinity: np.ndarray) -> np.ndarray:
     """Second-smallest generalized eigenvector of (D - W, D), unit norm.
 
@@ -308,7 +226,9 @@ def ncut_saliency(tokens: np.ndarray, dep_mask: np.ndarray | None = None,
     received = m.sum(axis=1) if dep_mask is not None else w.sum(axis=1)
     anchor = int(np.argmax(received))
     fg = side if side[anchor] else ~side
-    grid = _square_grid_side(n)
+    grid = math.isqrt(n)
+    if grid * grid != n:
+        raise UsageError(f"{n} tokens do not form a square patch grid")
     return LabelGrid.from_labels(fg.astype(np.int64).reshape(grid, grid))
 
 
@@ -323,8 +243,8 @@ def saliency_metrics(pred, gt, beta2: float = 0.3) -> MetricReport:
     g = np.asarray(gt.labels if isinstance(gt, LabelGrid) else gt)
     if p.shape != g.shape:
         raise ShapeError("prediction and reference masks differ in shape")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise UsageError("soft prediction must lie in [0, 1]")
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
+        raise UsageError("soft prediction must be finite and lie in [0, 1]")
     if not 0.0 <= beta2 < math.inf:  # NaN fails both comparisons
         raise UsageError(f"beta2 {beta2} must be finite and >= 0")
     g = g.astype(bool).ravel()
@@ -349,24 +269,3 @@ def saliency_metrics(pred, gt, beta2: float = 0.3) -> MetricReport:
     report = MetricReport(max_f_beta=best_f, iou=iou, acc=acc)
     report.validate()
     return report
-
-
-def downsample_majority(mask: np.ndarray, patch: int) -> LabelGrid:
-    """Pixel labels to patch labels by majority vote, low label on ties."""
-    m = np.asarray(mask)
-    if m.ndim != 2 or m.shape[0] % patch or m.shape[1] % patch:
-        raise ShapeError("mask dimensions must be multiples of the patch size")
-    gh, gw = m.shape[0] // patch, m.shape[1] // patch
-    out = np.zeros((gh, gw), dtype=np.int64)
-    for i in range(gh):
-        for j in range(gw):
-            cell = m[i * patch:(i + 1) * patch, j * patch:(j + 1) * patch]
-            vals, counts = np.unique(cell, return_counts=True)
-            out[i, j] = int(vals[np.argmax(counts)])
-    # a part can vanish under the vote, so re-densify the survivors
-    vals = np.unique(out)
-    vals = vals[vals >= 0]
-    dense = np.full_like(out, -1)
-    for new, old in enumerate(vals):
-        dense[out == old] = new
-    return LabelGrid.from_labels(dense)

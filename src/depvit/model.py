@@ -91,17 +91,8 @@ class ModelConfig:
         return self.patch_size * self.patch_size * 3
 
 
-def tiny(**overrides) -> ModelConfig:
-    """224px, C=192, H=12, L=12 (no pruning)."""
-    return ModelConfig(**{"channels": 192, **overrides})
-
-
+# lite-tiny: keep 160/128/96/64 tokens after blocks 2/5/8/11
 LITE_SCHEDULE = ((2, 160), (5, 128), (8, 96), (11, 64))
-
-
-def lite_tiny(**overrides) -> ModelConfig:
-    """Tiny with the keep schedule 160/128/96/64 after blocks 2/5/8/11."""
-    return tiny(**{"prune_schedule": LITE_SCHEDULE, **overrides})
 
 
 @dataclass
@@ -173,12 +164,12 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_weights(config: ModelConfig, dtype=np.float32) -> ModelWeights:
-    """Truncated-normal (std 0.02) matrices, zero biases, identity norms."""
+    """Truncated-normal matrices, zero biases, identity norms."""
     rng = np.random.default_rng(config.seed)
     c = config.channels
 
     def w(*shape):
-        return tn.tensor(tn.truncated_normal(rng, shape, 0.02), dtype=dtype, requires_grad=True)
+        return tn.tensor(tn.truncated_normal(rng, shape), dtype=dtype, requires_grad=True)
 
     def zeros(*shape):
         return tn.tensor(np.zeros(shape), dtype=dtype, requires_grad=True)

@@ -74,8 +74,7 @@ def evaluate(samples: list[BlobSample], config: ModelConfig,
 
 
 def toy_train(samples: list[BlobSample], config: ModelConfig, steps: int = 200,
-              lr: float = 3e-3, seed: int = 0, batch_size: int = 8,
-              weights: ModelWeights | None = None) -> TrainResult:
+              lr: float = 3e-3, seed: int = 0, batch_size: int = 8) -> TrainResult:
     """Adam on cross-entropy over random mini-batches.
 
     Divergence (non-finite loss or kernel blow-up) raises TrainingError.
@@ -89,11 +88,8 @@ def toy_train(samples: list[BlobSample], config: ModelConfig, steps: int = 200,
         raise UsageError(f"lr {lr} must be finite and >= 0")
     if seed < 0:
         raise UsageError(f"seed {seed} must be >= 0")
-    if weights is None:
-        weights = init_weights(config)
+    weights = init_weights(config)
     params = weights.named_tensors()
-    for t in params.values():
-        t.requires_grad = True
     opt = AdamState(lr=lr)
     rng = np.random.default_rng(seed)
     losses: list[float] = []

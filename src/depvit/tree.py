@@ -53,13 +53,6 @@ class DependencyTree:
     def total_score(self) -> float:
         return float(self.edge_weight.sum())
 
-    def children(self) -> list[list[int]]:
-        kids: list[list[int]] = [[] for _ in range(self.size)]
-        for v, p in enumerate(self.parent):
-            if p >= 0:
-                kids[p].append(v)
-        return kids
-
     def validate(self) -> None:
         n = self.size
         roots = np.where(self.parent == -1)[0]
@@ -254,15 +247,13 @@ def aggregate_masks(states: list[AttentionState], ledger=None) -> np.ndarray:
     return np.mean(np.stack(full), axis=0)
 
 
-def induce_tree(mask: np.ndarray, root_scores: np.ndarray | None = None) -> DependencyTree:
-    """Arborescence over an aggregated mask; root scores default to row sums."""
+def induce_tree(mask: np.ndarray) -> DependencyTree:
+    """Arborescence over an aggregated mask, rooted by received mass (row sums)."""
     mask = np.asarray(mask, dtype=np.float64)
-    if root_scores is None:
-        root_scores = mask.sum(axis=1)
-    return chu_liu_edmonds(mask, root_scores)
+    return chu_liu_edmonds(mask, mask.sum(axis=1))
 
 
-def partition_subtrees(tree: DependencyTree, min_size: float = 0.01) -> np.ndarray:
+def partition_subtrees(tree: DependencyTree, min_size: float) -> np.ndarray:
     """Cut the tree into parts anchored at depth-2 nodes.
 
     Every node is labeled by its ancestor at depth 2 (depth-1 nodes anchor

@@ -137,8 +137,11 @@ class TestBlockForward:
         np.testing.assert_allclose(out.data, ex_out, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(gate_cum.data, ex_m, rtol=1e-12)
         np.testing.assert_allclose(state.mask, ex_mask, rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(state.head_probs, ex_probs, rtol=1e-10)
-        np.testing.assert_allclose(state.gate, ex_gate, rtol=1e-12)
+        xn = tn.layer_norm(x, bw.ln1_gain, bw.ln1_bias)
+        probs = head_selector(xn, bw.w_head, 0.1)
+        gate, _ = message_controller(xn, bw.gate_w1, bw.gate_w2, gp)
+        np.testing.assert_allclose(probs.data, ex_probs, rtol=1e-10)
+        np.testing.assert_allclose(gate.data, ex_gate, rtol=1e-12)
 
     def test_gate_never_increases(self):
         rng = np.random.default_rng(5)

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,40 @@ class TestUsage:
         p = tmp_path / "g.json"
         p.write_text(text)
         assert run(["eval-parts", "--pred", str(p), "--gt", str(p)]) == 2
+
+    @pytest.mark.parametrize("command", ["parse", "prune"])
+    @pytest.mark.parametrize("bad", ["narrow", "nan"])
+    def test_token_input_must_fit_config(self, workdir, tmp_path, capsys, command, bad):
+        d, cfg, weights, _ = workdir
+        x = np.random.default_rng(2).standard_normal((16, 16)).astype(np.float32)
+        if bad == "narrow":
+            x = x[:, :4]  # (16, 4) against 16 channels
+        else:
+            x[3, 5] = np.nan
+        tok = tmp_path / "tokens.dvtn"
+        write_container(tok, {"tokens": x})
+        argv = [command, "--input", str(tok), "--weights", str(weights), "--config", str(cfg)]
+        if command == "prune":
+            argv += ["--ledger", str(tmp_path / "ledger.json")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "tokens.dvtn" in err and "check failed" not in err
+
+    @pytest.mark.parametrize("label", ["Infinity", "1e300"])
+    def test_part_labels_must_fit_int64(self, tmp_path, capsys, label):
+        p = tmp_path / "g.json"
+        p.write_text('{"width": 2, "height": 1, "labels": [[0, %s]]}' % label)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["eval-parts", "--pred", str(p), "--gt", str(p)]) == 2
+        assert "int64" in capsys.readouterr().err
+
+    def test_saliency_rejects_nan_prediction(self, tmp_path, capsys):
+        pred, gt = tmp_path / "pred.json", tmp_path / "gt.json"
+        pred.write_text('{"width": 2, "height": 2, "labels": [[NaN, 1], [1, 0]]}')
+        write_json(gt, {"width": 2, "height": 2, "labels": [[0, 1], [1, 0]]})
+        assert run(["eval-saliency", "--pred", str(pred), "--gt", str(gt)]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_determinism_across_invocations(self, workdir):
         d, cfg, weights, image = workdir

@@ -5,7 +5,7 @@ import pytest
 
 from depvit.costs import CostReport, layer_flops, model_cost, tokens_per_layer
 from depvit.errors import UsageError
-from depvit.model import ModelConfig, lite_tiny, tiny
+from depvit.model import LITE_SCHEDULE, ModelConfig
 
 
 def stack_f(n, c):
@@ -46,26 +46,26 @@ class TestLayerFlops:
 
 class TestTokensPerLayer:
     def test_full_model_constant(self):
-        assert tokens_per_layer(tiny()) == [196] * 12
+        assert tokens_per_layer(ModelConfig()) == [196] * 12
 
     def test_lite_sequence(self):
-        assert tokens_per_layer(lite_tiny()) == [
+        assert tokens_per_layer(ModelConfig(prune_schedule=LITE_SCHEDULE)) == [
             196, 196, 160, 160, 160, 128, 128, 128, 96, 96, 96, 64,
         ]
 
 
 class TestModelCost:
     def test_full_attention_stack(self):
-        rep = model_cost(tiny())
+        rep = model_cost(ModelConfig())
         stack = rep.breakdown["attention"] + rep.breakdown["projections"] + rep.breakdown["ffn"]
         assert stack == 12 * 101_455_872 == 1_217_470_464
 
     def test_full_total_near_reported(self):
-        rep = model_cost(tiny())
+        rep = model_cost(ModelConfig())
         assert abs(rep.total - 1.3e9) / 1.3e9 < 0.10
 
     def test_lite_attention_stack(self):
-        rep = model_cost(lite_tiny())
+        rep = model_cost(ModelConfig(prune_schedule=LITE_SCHEDULE))
         stack = rep.breakdown["attention"] + rep.breakdown["projections"] + rep.breakdown["ffn"]
         expected = (2 * stack_f(196, 192) + 3 * stack_f(160, 192)
                     + 3 * stack_f(128, 192) + 3 * stack_f(96, 192)
@@ -74,16 +74,16 @@ class TestModelCost:
         assert abs(stack - 0.801e9) / 0.801e9 < 0.01
 
     def test_lite_total_near_reported(self):
-        rep = model_cost(lite_tiny())
+        rep = model_cost(ModelConfig(prune_schedule=LITE_SCHEDULE))
         assert abs(rep.total - 0.8e9) / 0.8e9 < 0.10
 
     def test_param_count_near_reported(self):
-        rep = model_cost(tiny())
+        rep = model_cost(ModelConfig())
         assert rep.param_count == 5_946_280
         assert abs(rep.param_count - 6.2e6) / 6.2e6 < 0.10
 
     def test_embedder_and_classifier(self):
-        rep = model_cost(tiny())
+        rep = model_cost(ModelConfig())
         assert rep.breakdown["embedder"] == 196 * 768 * 192 == 28_901_376
         assert rep.breakdown["classifier"] == 192 * 1000
 
@@ -97,19 +97,19 @@ class TestModelCost:
             assert rep.breakdown[key] == 0
 
     def test_total_is_breakdown_sum(self):
-        for cfg in (tiny(), lite_tiny()):
+        for cfg in (ModelConfig(), ModelConfig(prune_schedule=LITE_SCHEDULE)):
             rep = model_cost(cfg)
             assert rep.total == sum(rep.breakdown.values())
 
     def test_lite_with_empty_schedule_equals_full(self):
-        full = model_cost(tiny())
-        emptied = model_cost(lite_tiny(prune_schedule=()))
+        full = model_cost(ModelConfig())
+        emptied = model_cost(ModelConfig(prune_schedule=()))
         assert emptied.total == full.total
         assert emptied.breakdown == full.breakdown
         assert emptied.per_layer == full.per_layer
 
     def test_monotone_in_kept_counts(self):
-        base = lite_tiny()
+        base = ModelConfig(prune_schedule=LITE_SCHEDULE)
         rep = model_cost(base)
         for i, (layer, kept) in enumerate(base.prune_schedule):
             sched = list(base.prune_schedule)
@@ -118,11 +118,11 @@ class TestModelCost:
             if smaller == kept:
                 continue
             sched[i] = (layer, smaller)
-            rep2 = model_cost(lite_tiny(prune_schedule=tuple(sched)))
+            rep2 = model_cost(ModelConfig(prune_schedule=tuple(sched)))
             assert rep2.total < rep.total
 
     def test_json_round_trip_and_table(self):
-        rep = model_cost(tiny())
+        rep = model_cost(ModelConfig())
         d = rep.to_json_dict()
         again = CostReport(**d)
         again.validate()
@@ -132,7 +132,7 @@ class TestModelCost:
         assert f"{rep.total:,}" in text
 
     def test_per_layer_count_matches_layers(self):
-        rep = model_cost(lite_tiny())
+        rep = model_cost(ModelConfig(prune_schedule=LITE_SCHEDULE))
         assert len(rep.per_layer) == 12
         assert rep.per_layer[0] == rep.per_layer[1] > rep.per_layer[2]
         assert rep.per_layer[-1] == min(rep.per_layer)

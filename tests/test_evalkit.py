@@ -1,4 +1,4 @@
-"""Tests for part matching, clustering, and normalized-cut saliency."""
+"""Tests for part matching and normalized-cut saliency."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,8 @@ from depvit.errors import NumericError, ShapeError, UsageError
 from depvit.evalkit import (
     LabelGrid,
     MetricReport,
-    downsample_majority,
     fiedler_vector,
     hungarian_match,
-    kmeans,
-    kmeans_parts,
     ncut_saliency,
     part_metrics,
     saliency_metrics,
@@ -30,7 +27,7 @@ class TestLabelGrid:
     def test_accepts_dense_labels_with_ignore(self):
         g = grid([[0, 1], [-1, 2]])
         assert (g.height, g.width) == (2, 2)
-        assert list(g.part_ids()) == [0, 1, 2]
+        np.testing.assert_array_equal(g.labels, [[0, 1], [-1, 2]])
 
     def test_rejects_sparse_labels(self):
         with pytest.raises(ShapeError):
@@ -196,58 +193,6 @@ def _densify(lab):
     return out
 
 
-class TestKmeans:
-    def test_two_separated_clusters_recovered(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(0.0, 0.01, size=(8, 4))
-        b = rng.normal(10.0, 0.01, size=(8, 4))
-        tokens = np.vstack([a, b])
-        labels, centers, _ = kmeans(tokens, 2, seed=1)
-        assert len(set(labels[:8])) == 1
-        assert len(set(labels[8:])) == 1
-        assert labels[0] != labels[8]
-
-    def test_k_equals_n(self):
-        tokens = np.arange(12, dtype=float).reshape(4, 3) * 10
-        labels, _, _ = kmeans(tokens, 4, seed=0)
-        assert sorted(labels) == [0, 1, 2, 3]
-
-    def test_identical_tokens_single_cluster(self):
-        tokens = np.ones((6, 3))
-        labels, centers, _ = kmeans(tokens, 3, seed=0)
-        assert set(labels) == {0}
-
-    def test_k_above_n_rejected(self):
-        with pytest.raises(UsageError):
-            kmeans(np.ones((3, 2)), 4)
-
-    def test_objective_non_increasing(self):
-        rng = np.random.default_rng(5)
-        for seed in range(5):
-            tokens = rng.random((40, 6))
-            _, _, history = kmeans(tokens, 5, seed=seed)
-            for a, b in zip(history, history[1:]):
-                assert b <= a + 1e-9
-
-    def test_deterministic(self):
-        tokens = np.random.default_rng(2).random((30, 4))
-        l1, c1, h1 = kmeans(tokens, 4, seed=7)
-        l2, c2, h2 = kmeans(tokens, 4, seed=7)
-        np.testing.assert_array_equal(l1, l2)
-        np.testing.assert_array_equal(c1, c2)
-        assert h1 == h2
-
-    def test_grid_layout(self):
-        tokens = np.vstack([np.zeros((8, 3)), np.ones((8, 3))])
-        g = kmeans_parts(tokens, 2, seed=0)
-        assert (g.height, g.width) == (4, 4)
-        assert len(set(g.labels.ravel()[:8])) == 1
-
-    def test_non_square_token_count_rejected(self):
-        with pytest.raises(UsageError):
-            kmeans_parts(np.ones((6, 3)), 2)
-
-
 class TestFiedler:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(21)
@@ -344,6 +289,11 @@ class TestNcutSaliency:
         with pytest.raises(UsageError):
             ncut_saliency(np.ones((1, 4)))
 
+    def test_non_square_token_count_rejected(self):
+        tokens = np.random.default_rng(0).standard_normal((6, 3))
+        with pytest.raises(UsageError, match="square"):
+            ncut_saliency(tokens)
+
 
 class TestSaliencyMetrics:
     def test_perfect_prediction(self):
@@ -375,6 +325,12 @@ class TestSaliencyMetrics:
         with pytest.raises(UsageError):
             saliency_metrics(np.full((2, 2), 1.5), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_soft_prediction_rejected(self, bad):
+        gt = np.array([[0, 1], [1, 0]])
+        with pytest.raises(UsageError, match="finite"):
+            saliency_metrics(np.array([[bad, 1.0], [1.0, 0.0]]), gt)
+
     def test_accepts_label_grids(self):
         g = LabelGrid.from_labels(np.array([[1, 0], [0, 1]]))
         rep = saliency_metrics(g, g)
@@ -389,27 +345,3 @@ class TestSaliencyMetrics:
         rep = saliency_metrics(pred, gt)
         for v in (rep.max_f_beta, rep.iou, rep.acc):
             assert 0.0 <= v <= 1.0
-
-
-class TestDownsample:
-    def test_majority_vote(self):
-        mask = np.zeros((4, 4), dtype=np.int64)
-        mask[0:2, 0:2] = 1        # upper-left cell all ones
-        mask[0, 2] = 1            # upper-right cell: 1 of 4 set
-        g = downsample_majority(mask, 2)
-        np.testing.assert_array_equal(g.labels, [[1, 0], [0, 0]])
-
-    def test_tie_takes_lower_label(self):
-        mask = np.array([[0, 1], [1, 0]])
-        g = downsample_majority(mask, 2)
-        assert g.labels[0, 0] == 0
-
-    def test_vanished_part_relabeled_dense(self):
-        mask = np.zeros((2, 4), dtype=np.int64)
-        mask[:, 2:] = 2   # label 1 never wins anywhere
-        g = downsample_majority(mask, 2)
-        np.testing.assert_array_equal(g.labels, [[0, 1]])
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(ShapeError):
-            downsample_majority(np.zeros((3, 4)), 2)

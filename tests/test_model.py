@@ -9,11 +9,9 @@ from depvit.model import (
     LITE_SCHEDULE,
     ModelConfig,
     init_weights,
-    lite_tiny,
     model_forward,
     parameter_shapes,
     patch_embed,
-    tiny,
 )
 from depvit.pruning import expand_state_mask, retrieve_dense
 from depvit.tensor import Tensor
@@ -66,10 +64,10 @@ class TestConfig:
             small_config(temperature=temperature)
 
     def test_presets(self):
-        t = tiny()
+        t = ModelConfig()
         assert (t.channels, t.heads, t.layers, t.tokens) == (192, 12, 12, 196)
         assert t.prune_schedule == ()
-        lt = lite_tiny()
+        lt = ModelConfig(prune_schedule=LITE_SCHEDULE)
         assert lt.prune_schedule == LITE_SCHEDULE
         assert lt.channels == 192
 
@@ -121,7 +119,7 @@ class TestPatchEmbed:
 
 class TestWeights:
     def test_param_count_tiny(self):
-        shapes = parameter_shapes(tiny())
+        shapes = parameter_shapes(ModelConfig())
         total = sum(int(np.prod(s)) for s in shapes.values())
         assert total == 5_946_280
 
@@ -267,7 +265,7 @@ class TestForward:
 
     @pytest.mark.slow
     def test_lite_mask_size_sequence(self):
-        cfg = lite_tiny()
+        cfg = ModelConfig(prune_schedule=LITE_SCHEDULE)
         w = init_weights(cfg)
         img = np.random.default_rng(0).random((224, 224, 3)).astype(np.float32)
         res = model_forward(img, cfg, w)
