@@ -12,7 +12,7 @@ layer norms have affine parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .tensor import Tensor
 
 @dataclass
 class BlockWeights:
-    """Parameters of one dependency block at width C with H heads."""
+    """One dependency block's tensors, in ``block_parameter_shapes`` order."""
 
     heads: int
     w_q: Tensor
@@ -45,34 +45,34 @@ class BlockWeights:
         return self.w_q.shape[0]
 
     def named_tensors(self) -> dict[str, Tensor]:
-        return {
-            "w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o,
-            "w_head": self.w_head, "gate_w1": self.gate_w1, "gate_w2": self.gate_w2,
-            "ffn_w1": self.ffn_w1, "ffn_w2": self.ffn_w2,
-            "ln1_gain": self.ln1_gain, "ln1_bias": self.ln1_bias,
-            "ln2_gain": self.ln2_gain, "ln2_bias": self.ln2_bias,
-        }
-
-    def validate(self) -> None:
-        c, h = self.channels, self.heads
-        if h < 1 or c % h != 0:
-            raise ShapeError(f"channels {c} not divisible by heads {h}")
-        if c % 2 != 0:
-            raise ShapeError(f"channels {c} must be even for the gate hidden layer")
-        expect = block_parameter_shapes(c, h)
-        for name, t in self.named_tensors().items():
-            if t.shape != expect[name]:
-                raise ShapeError(f"{name}: expected shape {expect[name]}, got {t.shape}")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "heads"}
 
 
 def block_parameter_shapes(c: int, h: int) -> dict[str, tuple[int, ...]]:
-    """Shape of every block tensor at width c with h heads, in named_tensors order."""
+    """Shape of every block tensor at width c with h heads, in field order."""
     return {
         "w_q": (c, c), "w_k": (c, c), "w_v": (c, c), "w_o": (c, c),
         "w_head": (c, h), "gate_w1": (c, c // 2), "gate_w2": (c // 2, 1),
         "ffn_w1": (c, 4 * c), "ffn_w2": (4 * c, c),
         "ln1_gain": (c,), "ln1_bias": (c,), "ln2_gain": (c,), "ln2_bias": (c,),
     }
+
+
+def init_parameters(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
+                    dtype=np.float32) -> dict[str, Tensor]:
+    """One trainable tensor per shape-table entry, drawn in table order.
+
+    A matrix is truncated-normal; a vector is ones when its name ends in
+    ``_gain`` (layer norms start at identity) and zeros otherwise.
+    """
+    out = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            data = tn.truncated_normal(rng, shape)
+        else:
+            data = np.ones(shape) if name.endswith("_gain") else np.zeros(shape)
+        out[name] = tn.tensor(data, dtype=dtype, requires_grad=True)
+    return out
 
 
 @dataclass
@@ -92,24 +92,13 @@ class AttentionState:
 
 def init_block_weights(channels: int, heads: int, rng: np.random.Generator,
                        dtype=np.float32) -> BlockWeights:
-    """Truncated-normal weights; layer norms start at identity."""
-
-    def w(*shape):
-        return tn.tensor(tn.truncated_normal(rng, shape), dtype=dtype, requires_grad=True)
-
-    c = channels
-    ones = tn.tensor(np.ones(c), dtype=dtype, requires_grad=True)
-    zeros = tn.tensor(np.zeros(c), dtype=dtype, requires_grad=True)
-    bw = BlockWeights(
-        heads=heads,
-        w_q=w(c, c), w_k=w(c, c), w_v=w(c, c), w_o=w(c, c),
-        w_head=w(c, heads), gate_w1=w(c, c // 2), gate_w2=w(c // 2, 1),
-        ffn_w1=w(c, 4 * c), ffn_w2=w(4 * c, c),
-        ln1_gain=ones, ln1_bias=zeros,
-        ln2_gain=ones.copy(), ln2_bias=zeros.copy(),
-    )
-    bw.validate()
-    return bw
+    """``init_parameters`` over ``block_parameter_shapes``."""
+    if heads < 1 or channels % heads != 0:
+        raise ShapeError(f"channels {channels} not divisible by heads {heads}")
+    if channels % 2 != 0:
+        raise ShapeError(f"channels {channels} must be even for the gate hidden layer")
+    shapes = block_parameter_shapes(channels, heads)
+    return BlockWeights(heads=heads, **init_parameters(shapes, rng, dtype))
 
 
 def forward_attention(x_norm: Tensor, weights: BlockWeights) -> tuple[Tensor, Tensor]:

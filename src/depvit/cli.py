@@ -105,23 +105,33 @@ def _cmd_prune(args) -> int:
     return 0
 
 
-def _int_grid(path: str) -> LabelGrid:
-    arr = load_grid_values(path)
+def _grid_pair(args) -> tuple[np.ndarray, np.ndarray]:
+    pred, gt = load_grid_values(args.pred), load_grid_values(args.gt)
+    if pred.shape != gt.shape:
+        raise UsageError(f"{args.pred} is {pred.shape[1]}x{pred.shape[0]} but "
+                         f"{args.gt} is {gt.shape[1]}x{gt.shape[0]}")
+    return pred, gt
+
+
+def _int_grid(path: str, arr: np.ndarray) -> LabelGrid:
     if not np.all((arr == np.rint(arr)) & (np.abs(arr) < 2.0 ** 63)):  # NaN, inf fail
         raise UsageError(f"{path}: part labels must be integers that fit int64")
-    return LabelGrid.from_labels(arr.astype(np.int64))
+    try:
+        return LabelGrid.from_labels(arr.astype(np.int64))
+    except ShapeError as exc:  # a label below -1, or labels that are not dense
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def _cmd_eval_parts(args) -> int:
-    rep = part_metrics(_int_grid(args.pred), _int_grid(args.gt))
+    pred, gt = _grid_pair(args)
+    rep = part_metrics(_int_grid(args.pred, pred), _int_grid(args.gt, gt))
     rep.validate()
     _emit(rep.to_json_dict(), args.out)
     return 0
 
 
 def _cmd_eval_saliency(args) -> int:
-    pred = load_grid_values(args.pred)
-    gt = load_grid_values(args.gt)
+    pred, gt = _grid_pair(args)
     if not np.all((gt == 0) | (gt == 1)):
         raise UsageError(f"{args.gt}: reference mask must be binary")
     rep = saliency_metrics(pred, gt.astype(np.int64), beta2=args.beta2)
@@ -145,11 +155,11 @@ def _cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     n, c, h = 6, 8, 2
     weights = init_block_weights(c, h, rng, dtype=np.float64)
-    names = list(weights.named_tensors().keys())
     inputs = [
         tn.tensor(rng.standard_normal((n, c)), dtype=np.float64),
         tn.tensor(rng.uniform(0.5, 1.0, size=(n,)), dtype=np.float64),
-    ] + [weights.named_tensors()[k] for k in names]
+        *weights.named_tensors().values(),
+    ]
     report = grad_check(
         lambda ins: block_probe_loss(ins, weights),
         inputs,

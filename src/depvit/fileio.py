@@ -371,16 +371,6 @@ def mask_to_json_dict(mask: np.ndarray) -> dict:
     return {"shape": list(m.shape), "data": m.tolist()}
 
 
-def mask_from_json_dict(d: dict) -> np.ndarray:
-    try:
-        arr = np.asarray(d["data"], dtype=np.float64)
-        if list(arr.shape) != list(d["shape"]):
-            raise FormatError("mask data disagrees with declared shape", offset=0)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed mask JSON: {exc}", offset=0) from exc
-    return arr
-
-
 def grid_to_json_dict(grid) -> dict:
     return {
         "width": int(grid.width),
@@ -396,6 +386,8 @@ def load_grid_values(path) -> np.ndarray:
         arr = np.asarray(d["labels"], dtype=np.float64)
         if arr.shape != (int(d["height"]), int(d["width"])):
             raise FormatError("grid labels disagree with declared size", offset=0)
+        if arr.size == 0:
+            raise FormatError("grid width and height must be positive", offset=0)
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

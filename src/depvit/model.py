@@ -8,7 +8,7 @@ the gate-weighted token mean, layer-normalized, then a linear classifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .block import (
     BlockWeights,
     block_forward,
     block_parameter_shapes,
-    init_block_weights,
+    init_parameters,
     pool_tokens,
 )
 from .data import patch_vectors
@@ -109,87 +109,47 @@ class ModelWeights:
     classifier_b: Tensor     # (num_classes,)
 
     def named_tensors(self) -> dict[str, Tensor]:
-        out = {
-            "patch_proj": self.patch_proj,
-            "patch_bias": self.patch_bias,
-            "pos_table": self.pos_table,
-            "final_gain": self.final_gain,
-            "final_bias": self.final_bias,
-            "classifier_w": self.classifier_w,
-            "classifier_b": self.classifier_b,
-        }
-        for i, blk in enumerate(self.blocks):
-            for name, t in blk.named_tensors().items():
-                out[f"block{i:02d}.{name}"] = t
+        """Every tensor in field order, block tensors as ``blockNN.<name>``."""
+        out: dict[str, Tensor] = {}
+        for f in fields(self):
+            if f.name == "blocks":
+                for i, blk in enumerate(self.blocks):
+                    out.update({f"block{i:02d}.{k}": t for k, t in blk.named_tensors().items()})
+            else:
+                out[f.name] = getattr(self, f.name)
         return out
 
     @classmethod
     def from_named_tensors(cls, config, tensors: dict[str, Tensor]) -> "ModelWeights":
         """Inverse of named_tensors for a matching configuration."""
-        fields: dict[str, dict[str, Tensor]] = {f"block{i:02d}": {} for i in range(config.layers)}
-        for name, t in tensors.items():
-            head, dot, field = name.partition(".")
-            if dot and head in fields:
-                fields[head][field] = t
-        blocks = [BlockWeights(heads=config.heads, **kw) for kw in fields.values()]
-        return cls(
-            patch_proj=tensors["patch_proj"],
-            patch_bias=tensors["patch_bias"],
-            pos_table=tensors["pos_table"],
-            blocks=blocks,
-            final_gain=tensors["final_gain"],
-            final_bias=tensors["final_bias"],
-            classifier_w=tensors["classifier_w"],
-            classifier_b=tensors["classifier_b"],
-        )
+        names = block_parameter_shapes(config.channels, config.heads)
+        blocks = [BlockWeights(heads=config.heads,
+                               **{name: tensors[f"block{i:02d}.{name}"] for name in names})
+                  for i in range(config.layers)]
+        top = {f.name: tensors[f.name] for f in fields(cls) if f.name != "blocks"}
+        return cls(blocks=blocks, **top)
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every learnable tensor; single source for init and costing."""
-    c, h, n = config.channels, config.heads, config.tokens
-    shapes: dict[str, tuple[int, ...]] = {
-        "patch_proj": (config.patch_dim, c),
-        "patch_bias": (c,),
-        "pos_table": (n, c),
-        "final_gain": (c,),
-        "final_bias": (c,),
-        "classifier_w": (c, config.num_classes),
-        "classifier_b": (config.num_classes,),
-    }
-    block = block_parameter_shapes(c, h)
+    """Shape of every learnable tensor: the one source of weight names, file
+    entry order, init draw order and parameter count."""
+    c = config.channels
+    shapes = {"patch_proj": (config.patch_dim, c), "patch_bias": (c,),
+              "pos_table": (config.tokens, c)}
+    block = block_parameter_shapes(c, config.heads)
     for i in range(config.layers):
         for name, shp in block.items():
             shapes[f"block{i:02d}.{name}"] = shp
+    shapes.update(final_gain=(c,), final_bias=(c,),
+                  classifier_w=(c, config.num_classes), classifier_b=(config.num_classes,))
     return shapes
 
 
 def init_weights(config: ModelConfig, dtype=np.float32) -> ModelWeights:
-    """Truncated-normal matrices, zero biases, identity norms."""
+    """``init_parameters`` over ``parameter_shapes``, seeded by the config."""
     rng = np.random.default_rng(config.seed)
-    c = config.channels
-
-    def w(*shape):
-        return tn.tensor(tn.truncated_normal(rng, shape), dtype=dtype, requires_grad=True)
-
-    def zeros(*shape):
-        return tn.tensor(np.zeros(shape), dtype=dtype, requires_grad=True)
-
-    weights = ModelWeights(
-        patch_proj=w(config.patch_dim, c),
-        patch_bias=zeros(c),
-        pos_table=w(config.tokens, c),
-        blocks=[init_block_weights(c, config.heads, rng, dtype=dtype)
-                for _ in range(config.layers)],
-        final_gain=tn.tensor(np.ones(c), dtype=dtype, requires_grad=True),
-        final_bias=zeros(c),
-        classifier_w=w(c, config.num_classes),
-        classifier_b=zeros(config.num_classes),
-    )
-    expect = parameter_shapes(config)
-    got = {k: t.shape for k, t in weights.named_tensors().items()}
-    if got != expect:
-        raise ShapeError("initialized weights disagree with the declared shapes")
-    return weights
+    tensors = init_parameters(parameter_shapes(config), rng, dtype)
+    return ModelWeights.from_named_tensors(config, tensors)
 
 
 def patch_embed(image: np.ndarray, config: ModelConfig, weights: ModelWeights) -> Tensor:

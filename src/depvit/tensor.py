@@ -61,12 +61,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise UsageError(f"item() on tensor of size {self.data.size}")

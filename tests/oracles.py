@@ -249,3 +249,64 @@ def layer_norm_kernel(x, gain, bias, g, eps=1e-6):
     m2 = (gy * xhat).mean(axis=-1, keepdims=True)
     gx = (gy - m1 - xhat * m2) * inv
     return y, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+# Weight initialization spelled out tensor by tensor, as it was before the
+# shape tables drove it.  Each matrix is drawn in keyword order, which is the
+# RNG draw order; the dicts come back in the old ``named_tensors`` order
+# (top-level tensors first, then the blocks), which was also the old entry
+# order of a saved weights container.
+
+def _truncated_normal(rng, shape, std=0.02):
+    x = rng.standard_normal(shape)
+    bad = np.abs(x) > 2.0
+    while bad.any():
+        x[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(x) > 2.0
+    return x * std
+
+
+def explicit_block_init(channels, heads, rng, dtype=np.float32) -> dict:
+    def w(*shape):
+        return _truncated_normal(rng, shape).astype(dtype)
+
+    c = channels
+    ones = np.ones(c).astype(dtype)
+    zeros = np.zeros(c).astype(dtype)
+    return dict(
+        w_q=w(c, c), w_k=w(c, c), w_v=w(c, c), w_o=w(c, c),
+        w_head=w(c, heads), gate_w1=w(c, c // 2), gate_w2=w(c // 2, 1),
+        ffn_w1=w(c, 4 * c), ffn_w2=w(4 * c, c),
+        ln1_gain=ones, ln1_bias=zeros,
+        ln2_gain=ones.copy(), ln2_bias=zeros.copy(),
+    )
+
+
+def explicit_model_init(config, dtype=np.float32) -> dict:
+    rng = np.random.default_rng(config.seed)
+    c = config.channels
+
+    def w(*shape):
+        return _truncated_normal(rng, shape).astype(dtype)
+
+    def zeros(*shape):
+        return np.zeros(shape).astype(dtype)
+
+    patch_proj = w(config.patch_dim, c)
+    patch_bias = zeros(c)
+    pos_table = w(config.tokens, c)
+    blocks = [explicit_block_init(c, config.heads, rng, dtype=dtype)
+              for _ in range(config.layers)]
+    out = dict(
+        patch_proj=patch_proj,
+        patch_bias=patch_bias,
+        pos_table=pos_table,
+        final_gain=np.ones(c).astype(dtype),
+        final_bias=zeros(c),
+        classifier_w=w(c, config.num_classes),
+        classifier_b=zeros(config.num_classes),
+    )
+    for i, blk in enumerate(blocks):
+        for name, arr in blk.items():
+            out[f"block{i:02d}.{name}"] = arr
+    return out

@@ -15,6 +15,7 @@ from depvit import tensor as tn
 from depvit.block import (
     BlockWeights,
     block_forward,
+    block_parameter_shapes,
     block_probe_loss,
     head_selector,
     init_block_weights,
@@ -23,6 +24,7 @@ from depvit.block import (
     reverse_compose,
     forward_attention,
 )
+from oracles import explicit_block_init
 
 
 def np_softmax(z, axis=-1):
@@ -69,6 +71,25 @@ def make_block(rng, channels=16, heads=4, dtype=np.float64):
     bw = init_block_weights(channels, heads, rng, dtype=dtype)
     raw = {k: t.data.copy() for k, t in bw.named_tensors().items()}
     return bw, raw
+
+
+class TestBlockWeights:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_is_byte_equal_to_explicit_reference(self, dtype):
+        bw = init_block_weights(16, 4, np.random.default_rng(5), dtype=dtype)
+        ref = explicit_block_init(16, 4, np.random.default_rng(5), dtype=dtype)
+        got = bw.named_tensors()
+        assert list(got) == list(ref) == list(block_parameter_shapes(16, 4))
+        for name, arr in ref.items():
+            t = got[name].data
+            assert (t.dtype, t.shape) == (arr.dtype, arr.shape), name
+            assert t.tobytes() == arr.tobytes(), name
+        assert got["ln1_gain"].data is not got["ln2_gain"].data
+
+    @pytest.mark.parametrize("channels, heads", [(16, 3), (15, 3), (16, 0)])
+    def test_init_rejects_bad_width(self, channels, heads):
+        with pytest.raises(ShapeError):
+            init_block_weights(channels, heads, np.random.default_rng(0))
 
 
 class TestReverseComposition:

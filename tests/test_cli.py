@@ -356,6 +356,32 @@ class TestUsage:
             assert run(["eval-parts", "--pred", str(p), "--gt", str(p)]) == 2
         assert "int64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", [[[0, 2]], [[-3, 0]]])
+    def test_part_labels_must_be_dense(self, tmp_path, capsys, labels):
+        p = tmp_path / "g.json"
+        write_json(p, {"width": 2, "height": 1, "labels": labels})
+        assert run(["eval-parts", "--pred", str(p), "--gt", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "g.json" in err and "check failed" not in err
+
+    @pytest.mark.parametrize("command", ["eval-parts", "eval-saliency"])
+    def test_grid_without_cells_is_usage_error(self, tmp_path, capsys, command):
+        p = tmp_path / "g.json"
+        write_json(p, {"width": 0, "height": 1, "labels": [[]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--pred", str(p), "--gt", str(p)]) == 2
+        assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval-parts", "eval-saliency"])
+    def test_grids_of_different_size_are_usage_error(self, tmp_path, capsys, command):
+        pred, gt = tmp_path / "pred.json", tmp_path / "gt.json"
+        write_json(pred, {"width": 2, "height": 1, "labels": [[0, 1]]})
+        write_json(gt, {"width": 1, "height": 2, "labels": [[0], [1]]})
+        assert run([command, "--pred", str(pred), "--gt", str(gt)]) == 2
+        err = capsys.readouterr().err
+        assert "2x1" in err and "1x2" in err and "check failed" not in err
+
     def test_saliency_rejects_nan_prediction(self, tmp_path, capsys):
         pred, gt = tmp_path / "pred.json", tmp_path / "gt.json"
         pred.write_text('{"width": 2, "height": 2, "labels": [[NaN, 1], [1, 0]]}')

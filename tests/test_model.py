@@ -16,6 +16,7 @@ from depvit.model import (
 from depvit.pruning import expand_state_mask, retrieve_dense
 from depvit.tensor import Tensor
 from depvit.train import evaluate, toy_train
+from oracles import explicit_model_init
 
 
 def small_config(**over):
@@ -129,6 +130,27 @@ class TestWeights:
         b = init_weights(cfg)
         for name, t in a.named_tensors().items():
             np.testing.assert_array_equal(t.data, b.named_tensors()[name].data)
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(),
+        ModelConfig(prune_schedule=LITE_SCHEDULE),
+        ModelConfig(image_size=128, channels=32, heads=4, layers=4, num_classes=2, seed=1),
+    ], ids=["tiny224", "lite224", "toy"])
+    def test_init_is_byte_equal_to_explicit_reference(self, cfg):
+        got = init_weights(cfg).named_tensors()
+        ref = explicit_model_init(cfg)
+        assert sorted(got) == sorted(ref)
+        for name, arr in ref.items():
+            t = got[name].data
+            assert (t.dtype, t.shape) == (arr.dtype, arr.shape), name
+            assert t.tobytes() == arr.tobytes(), name
+
+    def test_table_order_is_named_tensors_order(self):
+        cfg = small_config()
+        names = list(parameter_shapes(cfg))
+        assert names == list(init_weights(cfg).named_tensors())
+        assert names[:3] == ["patch_proj", "patch_bias", "pos_table"]
+        assert names[-4:] == ["final_gain", "final_bias", "classifier_w", "classifier_b"]
 
     def test_init_matches_declared_shapes(self):
         cfg = small_config(prune_schedule=((2, 8),))
