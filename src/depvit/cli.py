@@ -8,6 +8,7 @@ metric fails, 2 on bad usage or malformed input.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -46,6 +47,11 @@ from .pruning import expand_state_mask, retrieve_dense
 from .tensor import grad_check
 from .train import toy_train
 from .tree import aggregate_masks, induce_tree, partition_subtrees
+
+
+def _default(fn, param: str):
+    """The library's default for ``fn(param=...)``, so a flag never restates it."""
+    return inspect.signature(fn).parameters[param].default
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-saliency", help="foreground mask quality")
     p.add_argument("--pred", required=True, help="soft mask grid JSON")
     p.add_argument("--gt", required=True, help="binary mask grid JSON")
-    p.add_argument("--beta2", type=float, default=0.3)
+    p.add_argument("--beta2", type=float, default=_default(saliency_metrics, "beta2"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval_saliency)
 
@@ -243,17 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the block")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=float, default=_default(grad_check, "tolerance"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="train a small model on blob scenes")
     p.add_argument("--config", required=True)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=int, default=_default(toy_train, "steps"))
+    p.add_argument("--lr", type=float, default=_default(toy_train, "lr"))
+    p.add_argument("--seed", type=int, default=_default(toy_train, "seed"))
     p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--batch", type=int, default=_default(toy_train, "batch_size"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_train_toy)
 

@@ -1,9 +1,10 @@
-"""Unsupervised structure evaluation: part matching and saliency.
+"""Unsupervised structure evaluation: part matching and saliency scores.
 
 Predicted structures are compared against reference label grids at patch
 resolution.  Parts are matched one-to-one with a maximum-score assignment
-before IoU averaging; saliency comes from a normalized-cut bipartition of
-a token affinity graph, optionally sharpened by a dependency mask.
+before IoU averaging; a soft foreground map made elsewhere is scored
+against a binary mask.  ``fiedler_vector`` is the spectral bipartition
+vector of an affinity graph (normalized cut).
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ class LabelGrid:
                 f"labels shaped {self.labels.shape}, grid says "
                 f"({self.height}, {self.width})"
             )
+        if self.labels.size == 0:
+            raise ShapeError("label grid has no cells")
         vals = np.unique(self.labels)
         vals = vals[vals >= 0]
         if vals.size and (self.labels.min() < -1
@@ -163,7 +166,7 @@ def fiedler_vector(affinity: np.ndarray) -> np.ndarray:
     Laplacian and mapped back through D^{-1/2}; the entry of largest
     magnitude is made positive.
     """
-    # Imported here, not at module level: only saliency needs it.
+    # Imported here, not at module level: only this function needs it.
     from scipy.linalg import eigh
 
     w = np.asarray(affinity, dtype=np.float64)
@@ -191,47 +194,6 @@ def fiedler_vector(affinity: np.ndarray) -> np.ndarray:
     return out
 
 
-def token_affinity(tokens: np.ndarray, tau_aff: float = 0.2,
-                   floor: float = 1e-5) -> np.ndarray:
-    """Thresholded cosine affinity: 1 above tau_aff, a small floor below."""
-    x = np.asarray(tokens, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError("tokens must be N x C")
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    unit = np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
-    cos = unit @ unit.T
-    return np.where(cos >= tau_aff, 1.0, floor)
-
-
-def ncut_saliency(tokens: np.ndarray, dep_mask: np.ndarray | None = None,
-                  alpha: float = 1.0, tau_aff: float = 0.2) -> LabelGrid:
-    """Foreground/background split of tokens by a normalized-cut sign test.
-
-    The affinity graph is thresholded token cosine similarity, optionally
-    plus alpha times the symmetrized dependency mask.  The side holding
-    the token with the largest received mass is called foreground.
-    """
-    x = np.asarray(tokens, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise UsageError("need an N x C token matrix with N >= 2")
-    n = x.shape[0]
-    w = token_affinity(x, tau_aff)
-    if dep_mask is not None:
-        m = np.asarray(dep_mask, dtype=np.float64)
-        if m.shape != (n, n):
-            raise ShapeError("dependency mask must be N x N")
-        w = w + alpha * 0.5 * (m + m.T)
-    vec = fiedler_vector(w)
-    side = vec >= vec.mean()
-    received = m.sum(axis=1) if dep_mask is not None else w.sum(axis=1)
-    anchor = int(np.argmax(received))
-    fg = side if side[anchor] else ~side
-    grid = math.isqrt(n)
-    if grid * grid != n:
-        raise UsageError(f"{n} tokens do not form a square patch grid")
-    return LabelGrid.from_labels(fg.astype(np.int64).reshape(grid, grid))
-
-
 def saliency_metrics(pred, gt, beta2: float = 0.3) -> MetricReport:
     """Score a soft foreground map against a binary reference mask.
 
@@ -243,6 +205,8 @@ def saliency_metrics(pred, gt, beta2: float = 0.3) -> MetricReport:
     g = np.asarray(gt.labels if isinstance(gt, LabelGrid) else gt)
     if p.shape != g.shape:
         raise ShapeError("prediction and reference masks differ in shape")
+    if p.size == 0:
+        raise ShapeError("saliency maps have no cells")
     if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
         raise UsageError("soft prediction must be finite and lie in [0, 1]")
     if not 0.0 <= beta2 < math.inf:  # NaN fails both comparisons

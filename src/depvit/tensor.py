@@ -2,9 +2,12 @@
 
 Arrays are numpy float32 or float64; the dtype is a per-tensor property and
 mixed-precision arithmetic is rejected rather than silently promoted.  Every
-kernel validates shapes before computing and checks the result for NaN/Inf
-after.  When a Tape is active, kernels append a closure that maps the output
-gradient to input gradients; Tape.gradients replays those closures in reverse.
+kernel validates shapes, computes its result array and a backward closure
+that maps the output gradient to input gradients, and hands both to
+``_record``.  That one step checks the result for NaN/Inf (layout kernels,
+which only move values, skip the check), wraps it in a Tensor and, when a
+Tape is active and an input requires a gradient, tapes the closure;
+Tape.gradients replays those closures in reverse.
 Kernels work in their own fresh buffers, in place where that saves a pass or
 an allocation, and never write into an input array.
 """
@@ -12,6 +15,7 @@ an allocation, and never write into an input array.
 from __future__ import annotations
 
 import math
+import operator
 from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -139,14 +143,6 @@ class Tape:
         return out
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
-    tape = _CURRENT_TAPE.get()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape._records.append(_Record(out, inputs, backward))
-    return out
-
-
 _reduce_sum = np.add.reduce
 _reduce_max = np.maximum.reduce
 _isfinite = math.isfinite
@@ -160,12 +156,39 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"{op} produced non-finite values")
 
 
-def _same_dtype(op: str, *tensors: Tensor):
+def _record(op: str | None, out_data, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    """Every kernel's last step: check the result, wrap it, tape the call.
+
+    ``op`` names the kernel in the non-finite error; layout kernels only
+    move input values and pass None to skip the check.  A call is taped
+    only if some input requires a gradient, so the backward of a
+    single-input kernel never has to ask.
+    """
+    if op is not None:
+        _check_finite(out_data, op)
+    out = Tensor(out_data)
+    tape = _CURRENT_TAPE.get()
+    if tape is not None and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        tape._records.append(_Record(out, inputs, backward))
+    return out
+
+
+def _same_dtype(op: str, *tensors: Tensor) -> None:
     dt = tensors[0].dtype
     for t in tensors[1:]:
         if t.dtype != dt:
             raise ShapeError(f"{op}: mixed dtypes {dt.name} and {t.dtype.name}")
-    return dt
+
+
+def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
+    """``fn(a, b)`` for the broadcasting kernels: one dtype, broadcastable shapes."""
+    if a.data.dtype is not b.data.dtype:
+        _same_dtype(op, a, b)
+    try:
+        return fn(a.data, b.data)
+    except ValueError as exc:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -195,85 +218,60 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.dtype is not b.data.dtype:
         _same_dtype("matmul", a, b)
     out_data = a.data @ b.data
-    _check_finite(out_data, "matmul")
-    out = Tensor(out_data)
 
     def backward(g):
         ga = g @ b.data.T if a.requires_grad else None
         gb = a.data.T @ g if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record("matmul", out_data, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
-    if a.data.dtype is not b.data.dtype:
-        _same_dtype("add", a, b)
-    try:
-        out_data = a.data + b.data
-    except ValueError as exc:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    _check_finite(out_data, "add")
-    out = Tensor(out_data)
+    out_data = _broadcast("add", operator.add, a, b)
 
     def backward(g):
         ga = _unbroadcast(g, a.shape) if a.requires_grad else None
         gb = _unbroadcast(g, b.shape) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record("add", out_data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
-    if a.data.dtype is not b.data.dtype:
-        _same_dtype("mul", a, b)
-    try:
-        out_data = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    _check_finite(out_data, "mul")
-    out = Tensor(out_data)
+    out_data = _broadcast("mul", operator.mul, a, b)
 
     def backward(g):
         ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
         gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record("mul", out_data, (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise quotient with numpy broadcasting."""
-    if a.data.dtype is not b.data.dtype:
-        _same_dtype("div", a, b)
-    try:
-        out_data = a.data / b.data
-    except ValueError as exc:
-        raise ShapeError(f"div: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    _check_finite(out_data, "div")
-    out = Tensor(out_data)
+    out_data = _broadcast("div", operator.truediv, a, b)
 
     def backward(g):
         ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
         gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record("div", out_data, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a python scalar (scalar is not differentiated)."""
     s = float(s)
     out_data = a.data * a.dtype.type(s)
-    _check_finite(out_data, "scale")
-    out = Tensor(out_data)
 
     def backward(g):
-        return (g * s if a.requires_grad else None,)
+        return (g * s,)
 
-    return _record(out, (a,), backward)
+    return _record("scale", out_data, (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -282,24 +280,23 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         out_data = a.data.reshape(shape).copy()
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from exc
-    out = Tensor(out_data)
 
     def backward(g):
-        return (g.reshape(a.shape) if a.requires_grad else None,)
+        return (g.reshape(a.shape),)
 
-    return _record(out, (a,), backward)
+    return _record(None, out_data, (a,), backward)
 
 
 def transpose_last2(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.data.ndim < 2:
         raise ShapeError(f"transpose_last2 needs ndim >= 2, got {a.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2).copy())
+    out_data = np.swapaxes(a.data, -1, -2).copy()
 
     def backward(g):
-        return (np.swapaxes(g, -1, -2) if a.requires_grad else None,)
+        return (np.swapaxes(g, -1, -2),)
 
-    return _record(out, (a,), backward)
+    return _record(None, out_data, (a,), backward)
 
 
 def sum_over_axis(a: Tensor, axis: int) -> Tensor:
@@ -308,44 +305,32 @@ def sum_over_axis(a: Tensor, axis: int) -> Tensor:
         raise ShapeError(f"sum_over_axis: axis {axis} out of range for {a.shape}")
     axis = axis % a.data.ndim
     out_data = a.data.sum(axis=axis)
-    _check_finite(out_data, "sum_over_axis")
-    out = Tensor(out_data)
 
     def backward(g):
-        if not a.requires_grad:
-            return (None,)
         return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
 
-    return _record(out, (a,), backward)
+    return _record("sum_over_axis", out_data, (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
     """Sum of every element, returned as a 0-d tensor."""
     out_data = np.asarray(a.data.sum(), dtype=a.dtype)
-    _check_finite(out_data, "sum_all")
-    out = Tensor(out_data)
 
     def backward(g):
-        if not a.requires_grad:
-            return (None,)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _record(out, (a,), backward)
+    return _record("sum_all", out_data, (a,), backward)
 
 
 def sum_squares(a: Tensor) -> Tensor:
     """Sum of squared elements as a 0-d tensor; gradient is 2x."""
     x = a.data
     out_data = np.asarray((x * x).sum(), dtype=a.dtype)
-    _check_finite(out_data, "sum_squares")
-    out = Tensor(out_data)
 
     def backward(g):
-        if not a.requires_grad:
-            return (None,)
         return (2.0 * g * x,)
 
-    return _record(out, (a,), backward)
+    return _record("sum_squares", out_data, (a,), backward)
 
 
 def weighted_mean_rows(tokens: Tensor, weights: Tensor) -> Tensor:
@@ -365,15 +350,13 @@ def weighted_mean_rows(tokens: Tensor, weights: Tensor) -> Tensor:
     if total == 0.0:
         raise NumericError("weighted_mean_rows: weights sum to zero")
     out_data = (w @ x) / total
-    _check_finite(out_data, "weighted_mean_rows")
-    out = Tensor(out_data)
 
     def backward(g):
         gx = np.outer(w, g) / total if tokens.requires_grad else None
         gw = ((x - out_data) @ g) / total if weights.requires_grad else None
         return gx, gw
 
-    return _record(out, (tokens, weights), backward)
+    return _record("weighted_mean_rows", out_data, (tokens, weights), backward)
 
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
@@ -381,16 +364,14 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     n = a.shape[-1]
     if not (0 <= start < stop <= n):
         raise ShapeError(f"slice_last: [{start}:{stop}] invalid for last dim {n}")
-    out = Tensor(a.data[..., start:stop].copy())
+    out_data = a.data[..., start:stop].copy()
 
     def backward(g):
-        if not a.requires_grad:
-            return (None,)
         full = np.zeros(a.shape, dtype=g.dtype)
         full[..., start:stop] = g
         return (full,)
 
-    return _record(out, (a,), backward)
+    return _record(None, out_data, (a,), backward)
 
 
 def concat_last(parts: Sequence[Tensor]) -> Tensor:
@@ -403,7 +384,6 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
         if p.shape[:-1] != lead:
             raise ShapeError(f"concat_last: leading dims differ: {parts[0].shape} vs {p.shape}")
     out_data = np.concatenate([p.data for p in parts], axis=-1)
-    out = Tensor(out_data)
     widths = [p.shape[-1] for p in parts]
 
     def backward(g):
@@ -414,7 +394,7 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
             ofs += w
         return tuple(grads)
 
-    return _record(out, tuple(parts), backward)
+    return _record(None, out_data, tuple(parts), backward)
 
 
 def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -428,15 +408,13 @@ def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.dtype is not b.data.dtype:
         _same_dtype("batched_matmul", a, b)
     out_data = a.data @ b.data
-    _check_finite(out_data, "batched_matmul")
-    out = Tensor(out_data)
 
     def backward(g):
         ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
         gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record("batched_matmul", out_data, (a, b), backward)
 
 
 def split_heads(a: Tensor, heads: int) -> Tensor:
@@ -446,14 +424,12 @@ def split_heads(a: Tensor, heads: int) -> Tensor:
     n, c = a.shape
     if heads < 1 or c % heads != 0:
         raise ShapeError(f"split_heads: {c} channels not divisible into {heads} heads")
-    out = Tensor(a.data.reshape(n, heads, c // heads).swapaxes(0, 1).copy())
+    out_data = a.data.reshape(n, heads, c // heads).swapaxes(0, 1).copy()
 
     def backward(g):
-        if not a.requires_grad:
-            return (None,)
         return (np.ascontiguousarray(g.swapaxes(0, 1)).reshape(n, c),)
 
-    return _record(out, (a,), backward)
+    return _record(None, out_data, (a,), backward)
 
 
 def merge_heads(a: Tensor) -> Tensor:
@@ -461,14 +437,14 @@ def merge_heads(a: Tensor) -> Tensor:
     if a.data.ndim != 3:
         raise ShapeError(f"merge_heads expects (heads, tokens, width), got {a.shape}")
     h, n, d = a.shape
-    out = Tensor(np.ascontiguousarray(a.data.swapaxes(0, 1)).reshape(n, h * d))
+    # np.array copies even where the swap is already C-contiguous (one head
+    # or one token), which np.ascontiguousarray would return as a view
+    out_data = np.array(a.data.swapaxes(0, 1), order="C").reshape(n, h * d)
 
     def backward(g):
-        if not a.requires_grad:
-            return (None,)
         return (g.reshape(n, h, d).swapaxes(0, 1).copy(),)
 
-    return _record(out, (a,), backward)
+    return _record(None, out_data, (a,), backward)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -481,16 +457,14 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     n = a.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"gather_rows: index out of range for {n} rows")
-    out = Tensor(a.data[idx])  # fancy indexing already copies
+    out_data = a.data[idx]  # fancy indexing already copies
 
     def backward(g):
-        if not a.requires_grad:
-            return (None,)
         full = np.zeros(a.shape, dtype=g.dtype)
         np.add.at(full, idx, g)
         return (full,)
 
-    return _record(out, (a,), backward)
+    return _record(None, out_data, (a,), backward)
 
 
 def softmax_rows(a: Tensor, temperature: float = 1.0) -> Tensor:
@@ -504,18 +478,14 @@ def softmax_rows(a: Tensor, temperature: float = 1.0) -> Tensor:
     out_data -= _reduce_max(out_data, axis=-1, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= _reduce_sum(out_data, axis=-1, keepdims=True)
-    _check_finite(out_data, "softmax_rows")
-    out = Tensor(out_data)
 
     def backward(g):
-        if not a.requires_grad:
-            return (None,)
         gx = g * out_data
         np.subtract(g, _reduce_sum(gx, axis=-1, keepdims=True), out=gx)
         gx *= out_data
         return (np.divide(gx, temperature, out=gx),)
 
-    return _record(out, (a,), backward)
+    return _record("softmax_rows", out_data, (a,), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -525,12 +495,8 @@ def gelu(a: Tensor) -> Tensor:
     phi += 1.0
     phi *= 0.5
     out_data = x * phi
-    _check_finite(out_data, "gelu")
-    out = Tensor(out_data)
 
     def backward(g):
-        if not a.requires_grad:
-            return (None,)
         gx = x * -0.5
         gx *= x
         np.exp(gx, out=gx)
@@ -539,7 +505,7 @@ def gelu(a: Tensor) -> Tensor:
         gx += phi
         return (np.multiply(gx, g, out=gx),)
 
-    return _record(out, (a,), backward)
+    return _record("gelu", out_data, (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -551,15 +517,11 @@ def sigmoid(a: Tensor) -> Tensor:
     np.exp(np.negative(e, out=e), out=e)
     out_data = np.where(x >= 0, 1.0, e)
     out_data /= np.add(e, 1.0, out=e)
-    _check_finite(out_data, "sigmoid")
-    out = Tensor(out_data)
 
     def backward(g):
-        if not a.requires_grad:
-            return (None,)
         return (g * out_data * (1.0 - out_data),)
 
-    return _record(out, (a,), backward)
+    return _record("sigmoid", out_data, (a,), backward)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -576,8 +538,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
-    _check_finite(out_data, "layer_norm")
-    out = Tensor(out_data)
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
@@ -594,7 +554,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
             gx = None
         return gx, ggain, gbias
 
-    return _record(out, (a, gain, bias), backward)
+    return _record("layer_norm", out_data, (a, gain, bias), backward)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -612,18 +572,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     lse = m.squeeze(-1) + np.log(np.exp(x - m).sum(axis=-1))
     nll = lse - x[np.arange(b), labels]
     out_data = np.asarray(nll.mean(), dtype=logits.dtype)
-    _check_finite(out_data, "cross_entropy")
-    out = Tensor(out_data)
 
     def backward(g):
-        if not logits.requires_grad:
-            return (None,)
         p = np.exp(x - m)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(b), labels] -= 1.0
         return (p * (g / b),)
 
-    return _record(out, (logits,), backward)
+    return _record("cross_entropy", out_data, (logits,), backward)
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via its run() entry."""
 
+import inspect
 import json
 import os
 import struct
@@ -13,8 +14,8 @@ import pytest
 
 import depvit
 
-from depvit.cli import run
-from depvit.evalkit import LabelGrid
+from depvit.cli import build_parser, run
+from depvit.evalkit import LabelGrid, saliency_metrics
 from depvit.fileio import (
     grid_to_json_dict,
     read_container,
@@ -26,6 +27,8 @@ from depvit.fileio import (
 )
 from depvit.model import ModelConfig, init_weights
 from depvit.pruning import PruneLedger
+from depvit.tensor import grad_check
+from depvit.train import toy_train
 
 
 SMALL_CFG = (
@@ -281,6 +284,20 @@ class TestFlopsGradcheckTrain:
         assert len(rep["losses"]) == 3
         assert 0.0 <= rep["accuracy"] <= 1.0
 
+    def test_flag_defaults_are_the_library_defaults(self):
+        def default(fn, param):
+            return inspect.signature(fn).parameters[param].default
+
+        parser = build_parser()
+        train = parser.parse_args(["train-toy", "--config", "toy.cfg"])
+        assert (train.steps, train.lr, train.seed, train.batch) == (
+            default(toy_train, "steps"), default(toy_train, "lr"),
+            default(toy_train, "seed"), default(toy_train, "batch_size")) == (200, 3e-3, 0, 8)
+        tolerance = parser.parse_args(["gradcheck"]).tolerance
+        assert tolerance == default(grad_check, "tolerance") == 1e-4
+        beta2 = parser.parse_args(["eval-saliency", "--pred", "p", "--gt", "g"]).beta2
+        assert beta2 == default(saliency_metrics, "beta2") == 0.3
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -399,8 +416,8 @@ class TestUsage:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # part metrics import scipy.optimize and saliency scipy.linalg on first
-    # use; importing the CLI must not pay for either
+    # part metrics import scipy.optimize and the Fiedler vector scipy.linalg
+    # on first use; importing the CLI must not pay for either
     src = str(Path(depvit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

@@ -5,6 +5,7 @@ never read back from the implementation.  Backward formulas are verified
 against float64 central differences through grad_check.
 """
 
+import inspect
 import math
 import threading
 
@@ -531,3 +532,65 @@ class TestFusedKernels:
         with pytest.raises(ShapeError):
             T.weighted_mean_rows(T.tensor(np.ones(4), dtype=np.float64),
                                  T.tensor(np.ones(4), dtype=np.float64))
+
+
+def _u(*shape):
+    return np.linspace(0.5, 1.5, math.prod(shape)).reshape(shape)
+
+
+# One small valid call per kernel.  Where a cheap copy-free path exists the
+# inputs take it: a full-width slice, an identity gather, and one head,
+# whose swapped (1, N, d) -> (N, 1, d) view is already C-contiguous.
+KERNEL_CALLS = {
+    "matmul": (T.matmul, [_u(2, 3), _u(3, 4)]),
+    "batched_matmul": (T.batched_matmul, [_u(2, 2, 3), _u(2, 3, 2)]),
+    "add": (T.add, [_u(2, 3), _u(3)]),
+    "mul": (T.mul, [_u(2, 3), _u(2, 1)]),
+    "div": (T.div, [_u(2, 3), _u(2, 3)]),
+    "scale": (lambda a: T.scale(a, 2.0), [_u(2, 3)]),
+    "reshape": (lambda a: T.reshape(a, (3, 2)), [_u(2, 3)]),
+    "transpose_last2": (T.transpose_last2, [_u(2, 3)]),
+    "sum_over_axis": (lambda a: T.sum_over_axis(a, 1), [_u(2, 3)]),
+    "sum_all": (T.sum_all, [_u(2, 3)]),
+    "sum_squares": (T.sum_squares, [_u(2, 3)]),
+    "weighted_mean_rows": (T.weighted_mean_rows, [_u(3, 2), _u(3)]),
+    "slice_last": (lambda a: T.slice_last(a, 0, 3), [_u(2, 3)]),
+    "concat_last": (lambda *parts: T.concat_last(parts), [_u(2, 1), _u(2, 2)]),
+    "split_heads": (lambda a: T.split_heads(a, 1), [_u(3, 4)]),
+    "merge_heads": (T.merge_heads, [_u(1, 3, 4)]),
+    "gather_rows": (lambda a: T.gather_rows(a, [0, 1]), [_u(2, 3)]),
+    "softmax_rows": (T.softmax_rows, [_u(2, 3)]),
+    "gelu": (T.gelu, [_u(2, 3)]),
+    "sigmoid": (T.sigmoid, [_u(2, 3)]),
+    "layer_norm": (T.layer_norm, [_u(2, 3), _u(3), _u(3)]),
+    "cross_entropy": (lambda a: T.cross_entropy(a, [0, 2]), [_u(2, 3)]),
+}
+
+
+class TestKernelContract:
+    """Every kernel follows the same taping and ownership rules."""
+
+    def test_every_kernel_has_a_call(self):
+        helpers = {"tensor", "grad_check", "truncated_normal"}
+        public = {name for name, fn in vars(T).items()
+                  if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                  and not name.startswith("_")}
+        assert set(KERNEL_CALLS) == public - helpers
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CALLS))
+    def test_tapes_only_what_needs_a_gradient_and_owns_its_output(self, name):
+        kernel, arrays = KERNEL_CALLS[name]
+
+        def inputs(grad_at=None):
+            return [T.Tensor(a, requires_grad=(i == grad_at)) for i, a in enumerate(arrays)]
+
+        out = kernel(*inputs(grad_at=0))
+        assert not out.requires_grad
+        assert not any(np.shares_memory(out.data, a) for a in arrays)
+        with T.Tape() as tape:
+            out = kernel(*inputs())
+        assert len(tape) == 0 and not out.requires_grad
+        for i in range(len(arrays)):
+            with T.Tape() as tape:
+                out = kernel(*inputs(grad_at=i))
+            assert len(tape) == 1 and out.requires_grad
