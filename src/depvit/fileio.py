@@ -88,6 +88,17 @@ def read_container(path) -> dict[str, np.ndarray]:
         def u32(what: str, *args) -> int:
             return _U32.unpack(take(4, what, *args)[0])[0]
 
+        def extents(rank: int, name: str) -> tuple[int, ...]:
+            # all of them in one unpack; a cut one is reported by its index
+            nonlocal pos
+            start = pos
+            raw = f.read(min(4 * rank, size - pos))
+            shape = struct.unpack_from(f"<{len(raw) // 4}I", raw)
+            if len(shape) < rank:
+                raise truncated("extent {} of {!r}", (len(shape), name), start + 4 * len(shape))
+            pos += 4 * rank
+            return shape
+
         magic, start = take(4, "magic")
         if magic != MAGIC:
             raise FormatError("bad magic, not a tensor container", offset=start)
@@ -111,7 +122,7 @@ def read_container(path) -> dict[str, np.ndarray]:
             if code not in _DTYPES:
                 raise FormatError(f"unknown dtype code {code}", offset=code_at)
             rank = u32("rank of {!r}", name)
-            shape = tuple(u32("extent {} of {!r}", d, name) for d in range(rank))
+            shape = extents(rank, name)
             nbytes = math.prod(shape) * _DTYPES[code].itemsize
             payload_at = need(nbytes, "payload of {!r}", name)
             try:

@@ -10,15 +10,23 @@ Tape is active and an input requires a gradient, tapes the closure;
 Tape.gradients replays those closures in reverse.
 Kernels work in their own fresh buffers, in place where that saves a pass or
 an allocation, and never write into an input array.
+
+A tape record keeps the serial numbers of its output and inputs, not the
+tensors, and a backward closure captures only the arrays its formula reads
+(shapes and indices for the layout kernels, ``add``, ``scale`` and the
+sums), so an activation nothing reads is freed with its tensor.
+Tape.gradients drops an intermediate's gradient as soon as the record that
+produced it has run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -31,9 +39,13 @@ _DT64 = np.dtype(np.float64)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Tensor identity on a tape: unlike id(), a serial is never reused once an
+# intermediate is freed.
+_SERIALS = itertools.count()
+
 
 class Tensor:
-    """A numpy array plus a grad-participation flag.
+    """A numpy array, a grad-participation flag and a serial number.
 
     The array is owned by the tensor; kernels never alias their inputs into
     outputs, so mutating ``t.data`` between forward and backward corrupts
@@ -41,7 +53,7 @@ class Tensor:
     happening outside any active tape).
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "serial")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = data if isinstance(data, np.ndarray) else np.asarray(data)
@@ -52,6 +64,7 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self.serial = next(_SERIALS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -77,12 +90,10 @@ class Tensor:
 _CURRENT_TAPE: ContextVar["Tape | None"] = ContextVar("depvit_tape", default=None)
 
 
-@dataclass
-class _Record:
-    # Holds a reference to the output so its id() stays unique for the tape's
-    # whole lifetime (python reuses ids of collected objects).
-    out: Tensor
-    inputs: tuple[Tensor, ...]
+class _Record(NamedTuple):
+    # Serials, not tensors: the tape pins only what ``backward`` captured.
+    out: int
+    inputs: tuple[int, ...]
     backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
 
 
@@ -117,28 +128,30 @@ class Tape:
 
         Tensors that never influenced the loss get an all-zero gradient of
         their own shape.  The tape may be replayed multiple times.
+
+        Every consumer of a tensor comes after its producer on the tape, so
+        once the producer's record has run, that tensor's gradient is
+        complete and, unless it is in ``wrt``, dropped.
         """
         if loss.data.size != 1:
             raise UsageError(f"loss must be scalar, got shape {loss.shape}")
-        acc: dict[int, np.ndarray] = {
-            id(loss): np.ones_like(loss.data)
-        }
-        for rec in reversed(self._records):
-            out_grad = acc.get(id(rec.out))
+        keep = {t.serial for t in wrt}
+        acc: dict[int, np.ndarray] = {loss.serial: np.ones_like(loss.data)}
+        for out_key, in_keys, backward in reversed(self._records):
+            out_grad = acc.get(out_key) if out_key in keep else acc.pop(out_key, None)
             if out_grad is None:
                 continue
-            in_grads = rec.backward(out_grad)
-            for tin, g in zip(rec.inputs, in_grads):
+            for key, g in zip(in_keys, backward(out_grad)):
                 if g is None:
                     continue
-                prev = acc.get(id(tin))
+                prev = acc.get(key)
                 if prev is None:
-                    acc[id(tin)] = g.copy() if g.base is not None else g
+                    acc[key] = g.copy() if g.base is not None else g
                 else:
-                    acc[id(tin)] = prev + g
+                    acc[key] = prev + g
         out = []
         for t in wrt:
-            g = acc.get(id(t))
+            g = acc.get(t.serial)
             out.append(np.zeros_like(t.data) if g is None else g.astype(t.dtype, copy=False))
         return out
 
@@ -170,7 +183,7 @@ def _record(op: str | None, out_data, inputs: tuple[Tensor, ...], backward) -> T
     tape = _CURRENT_TAPE.get()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape._records.append(_Record(out, inputs, backward))
+        tape._records.append(_Record(out.serial, tuple(t.serial for t in inputs), backward))
     return out
 
 
@@ -202,6 +215,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _operands(a: Tensor, b: Tensor) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """A product's operands for its backward: each side's array is kept
+    only if the other side needs a gradient, since only that one reads it."""
+    return (a.data if b.requires_grad else None,
+            b.data if a.requires_grad else None)
+
+
 def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
     """Construct a tensor, validating finiteness of the initial data."""
     t = Tensor(data, dtype=dtype, requires_grad=requires_grad)
@@ -218,10 +238,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.dtype is not b.data.dtype:
         _same_dtype("matmul", a, b)
     out_data = a.data @ b.data
+    ad, bd = _operands(a, b)
 
     def backward(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
+        ga = g @ bd.T if bd is not None else None
+        gb = ad.T @ g if ad is not None else None
         return ga, gb
 
     return _record("matmul", out_data, (a, b), backward)
@@ -230,10 +251,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
     out_data = _broadcast("add", operator.add, a, b)
+    sa = a.shape if a.requires_grad else None
+    sb = b.shape if b.requires_grad else None
 
     def backward(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g, sa) if sa is not None else None
+        gb = _unbroadcast(g, sb) if sb is not None else None
         return ga, gb
 
     return _record("add", out_data, (a, b), backward)
@@ -242,10 +265,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     out_data = _broadcast("mul", operator.mul, a, b)
+    ad, bd = _operands(a, b)
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g * bd, sa) if bd is not None else None
+        gb = _unbroadcast(g * ad, sb) if ad is not None else None
         return ga, gb
 
     return _record("mul", out_data, (a, b), backward)
@@ -254,10 +279,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise quotient with numpy broadcasting."""
     out_data = _broadcast("div", operator.truediv, a, b)
+    # both sides' formulas read the divisor; only b's reads the dividend
+    ad = a.data if b.requires_grad else None
+    bd, need_a = b.data, a.requires_grad
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g / bd, sa) if need_a else None
+        gb = _unbroadcast(-g * ad / (bd * bd), sb) if ad is not None else None
         return ga, gb
 
     return _record("div", out_data, (a, b), backward)
@@ -281,8 +310,10 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from exc
 
+    in_shape = a.shape
+
     def backward(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(in_shape),)
 
     return _record(None, out_data, (a,), backward)
 
@@ -305,9 +336,10 @@ def sum_over_axis(a: Tensor, axis: int) -> Tensor:
         raise ShapeError(f"sum_over_axis: axis {axis} out of range for {a.shape}")
     axis = axis % a.data.ndim
     out_data = a.data.sum(axis=axis)
+    in_shape = a.shape
 
     def backward(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), in_shape).copy(),)
 
     return _record("sum_over_axis", out_data, (a,), backward)
 
@@ -315,9 +347,10 @@ def sum_over_axis(a: Tensor, axis: int) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     """Sum of every element, returned as a 0-d tensor."""
     out_data = np.asarray(a.data.sum(), dtype=a.dtype)
+    in_shape = a.shape
 
     def backward(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, in_shape).copy(),)
 
     return _record("sum_all", out_data, (a,), backward)
 
@@ -351,9 +384,11 @@ def weighted_mean_rows(tokens: Tensor, weights: Tensor) -> Tensor:
         raise NumericError("weighted_mean_rows: weights sum to zero")
     out_data = (w @ x) / total
 
+    need_x, need_w = tokens.requires_grad, weights.requires_grad
+
     def backward(g):
-        gx = np.outer(w, g) / total if tokens.requires_grad else None
-        gw = ((x - out_data) @ g) / total if weights.requires_grad else None
+        gx = np.outer(w, g) / total if need_x else None
+        gw = ((x - out_data) @ g) / total if need_w else None
         return gx, gw
 
     return _record("weighted_mean_rows", out_data, (tokens, weights), backward)
@@ -365,9 +400,10 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= n):
         raise ShapeError(f"slice_last: [{start}:{stop}] invalid for last dim {n}")
     out_data = a.data[..., start:stop].copy()
+    in_shape = a.shape
 
     def backward(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
+        full = np.zeros(in_shape, dtype=g.dtype)
         full[..., start:stop] = g
         return (full,)
 
@@ -384,13 +420,13 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
         if p.shape[:-1] != lead:
             raise ShapeError(f"concat_last: leading dims differ: {parts[0].shape} vs {p.shape}")
     out_data = np.concatenate([p.data for p in parts], axis=-1)
-    widths = [p.shape[-1] for p in parts]
+    widths = [(p.shape[-1], p.requires_grad) for p in parts]
 
     def backward(g):
         grads = []
         ofs = 0
-        for p, w in zip(parts, widths):
-            grads.append(g[..., ofs:ofs + w].copy() if p.requires_grad else None)
+        for w, need in widths:
+            grads.append(g[..., ofs:ofs + w].copy() if need else None)
             ofs += w
         return tuple(grads)
 
@@ -408,10 +444,11 @@ def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.dtype is not b.data.dtype:
         _same_dtype("batched_matmul", a, b)
     out_data = a.data @ b.data
+    ad, bd = _operands(a, b)
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
-        gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
+        ga = g @ np.swapaxes(bd, -1, -2) if bd is not None else None
+        gb = np.swapaxes(ad, -1, -2) @ g if ad is not None else None
         return ga, gb
 
     return _record("batched_matmul", out_data, (a, b), backward)
@@ -458,9 +495,10 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"gather_rows: index out of range for {n} rows")
     out_data = a.data[idx]  # fancy indexing already copies
+    in_shape = a.shape
 
     def backward(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
+        full = np.zeros(in_shape, dtype=g.dtype)
         np.add.at(full, idx, g)
         return (full,)
 
@@ -538,13 +576,15 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
+    gd = gain.data
+    need_x, need_gain, need_bias = a.requires_grad, gain.requires_grad, bias.requires_grad
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        ggain = _reduce_sum(g * xhat, axis=lead) if gain.requires_grad else None
-        gbias = _reduce_sum(g, axis=lead) if bias.requires_grad else None
-        if a.requires_grad:
-            gx = g * gain.data
+        ggain = _reduce_sum(g * xhat, axis=lead) if need_gain else None
+        gbias = _reduce_sum(g, axis=lead) if need_bias else None
+        if need_x:
+            gx = g * gd
             m1 = _reduce_sum(gx, axis=-1, keepdims=True) / c
             m2 = _reduce_sum(gx * xhat, axis=-1, keepdims=True) / c
             gx -= m1
@@ -563,9 +603,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"cross_entropy expects (batch, classes), got {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     b, k = logits.shape
+    if b == 0:
+        raise ShapeError("cross_entropy: empty batch")
     if labels.shape != (b,):
         raise ShapeError(f"cross_entropy: {b} rows but {labels.shape[0]} labels")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
+    if labels.min() < 0 or labels.max() >= k:
         raise UsageError(f"cross_entropy: label out of range [0, {k})")
     x = logits.data
     m = x.max(axis=-1, keepdims=True)

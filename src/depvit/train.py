@@ -66,6 +66,8 @@ def _batch_loss(batch: list[BlobSample], config: ModelConfig,
 def evaluate(samples: list[BlobSample], config: ModelConfig,
              weights: ModelWeights) -> float:
     """Fraction of samples whose argmax logit matches the label."""
+    if not samples:
+        raise UsageError("no samples to evaluate")
     hits = 0
     for sample in samples:
         if model_forward(sample.image, config, weights).prediction == sample.label:

@@ -251,6 +251,21 @@ def layer_norm_kernel(x, gain, bias, g, eps=1e-6):
     return y, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
+def replay_tape(records, loss, wrt):
+    """Reverse replay of a tape's records that keeps every gradient until it
+    returns and sums each further contribution into a fresh array: the
+    summation order ``Tape.gradients`` must reproduce bit for bit."""
+    acc = {loss.serial: np.ones_like(loss.data)}
+    for out, inputs, backward in reversed(records):
+        if out not in acc:
+            continue
+        for key, g in zip(inputs, backward(acc[out])):
+            if g is not None:
+                acc[key] = acc[key] + g if key in acc else g
+    return [acc[t.serial].astype(t.dtype, copy=False) if t.serial in acc
+            else np.zeros_like(t.data) for t in wrt]
+
+
 # Weight initialization spelled out tensor by tensor, as it was before the
 # shape tables drove it.  Each matrix is drawn in keyword order, which is the
 # RNG draw order; the dicts come back in the old ``named_tensors`` order

@@ -24,7 +24,7 @@ from depvit.block import (
     reverse_compose,
     forward_attention,
 )
-from oracles import explicit_block_init
+from oracles import explicit_block_init, replay_tape
 
 
 def np_softmax(z, axis=-1):
@@ -260,6 +260,78 @@ class TestBlockGradients:
         g_x, g_gp = tape.gradients(loss, [x, gp])
         assert np.abs(g_gp).max() > 0
         assert np.abs(g_x).max() > 0
+
+    @staticmethod
+    def probe_inputs(seed):
+        rng = np.random.default_rng(seed)
+        bw, _ = make_block(rng, channels=8, heads=2)
+        x = tn.tensor(rng.normal(size=(5, 8)), dtype=np.float64, requires_grad=True)
+        gp = tn.tensor(rng.uniform(0.3, 1.0, size=5), dtype=np.float64, requires_grad=True)
+        return bw, [x, gp] + list(bw.named_tensors().values())
+
+    @staticmethod
+    def probe(bw, inputs, monkeypatch, shift=None):
+        """``block_probe_loss`` and x_norm, the block's first layer-norm
+        output, to which ``shift`` is added when one is given."""
+        norms = []
+        layer_norm = tn.layer_norm
+
+        def recording_layer_norm(*args, **kwargs):
+            out = layer_norm(*args, **kwargs)
+            if not norms and shift is not None:
+                out = tn.add(out, shift)
+            norms.append(out)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tn, "layer_norm", recording_layer_norm)
+            loss = block_probe_loss(inputs, bw)
+        return loss, norms[0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradients_match_a_replay_that_frees_nothing(self, seed, monkeypatch):
+        # An intermediate and a repeated tensor in ``wrt`` must not lose
+        # contributions when the other intermediates' gradients are freed,
+        # and a tensor the loss never reads gets zeros.
+        bw, inputs = self.probe_inputs(seed)
+        with tn.Tape() as tape:
+            loss, x_norm = self.probe(bw, inputs, monkeypatch)
+        unused = tn.tensor(np.ones((2, 3)), dtype=np.float64, requires_grad=True)
+        wrt = [x_norm, *inputs, inputs[0], unused]
+        got = tape.gradients(loss, wrt)
+        want = replay_tape(tape._records, loss, wrt)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        assert np.abs(got[0]).max() > 0
+        assert got[1].tobytes() == got[-2].tobytes()
+        assert got[-1].shape == (2, 3) and not got[-1].any()
+        plain = tape.gradients(loss, inputs)
+        assert [g.tobytes() for g in plain] == [g.tobytes() for g in got[1:-2]]
+
+    def test_replaying_a_tape_twice_gives_the_same_bytes(self, monkeypatch):
+        bw, inputs = self.probe_inputs(3)
+        with tn.Tape() as tape:
+            loss, x_norm = self.probe(bw, inputs, monkeypatch)
+        wrt = [x_norm, *inputs]
+        first = [g.tobytes() for g in tape.gradients(loss, wrt)]
+        assert [g.tobytes() for g in tape.gradients(loss, wrt)] == first
+
+    def test_intermediate_gradient_matches_central_differences(self, monkeypatch):
+        # d loss / d x_norm is d loss / d shift for x_norm + shift at
+        # shift = 0, which grad_check can perturb directly
+        bw, inputs = self.probe_inputs(4)
+        with tn.Tape() as tape:
+            loss, x_norm = self.probe(bw, inputs, monkeypatch)
+        (g_norm,) = tape.gradients(loss, [x_norm])
+        shift = tn.tensor(np.zeros((5, 8)), dtype=np.float64, requires_grad=True)
+        report = tn.grad_check(
+            lambda ts: self.probe(bw, inputs, monkeypatch, shift=ts[0])[0], [shift])
+        assert report.max_rel_error < 1e-6
+        with tn.Tape() as tape:
+            loss, _ = self.probe(bw, inputs, monkeypatch, shift=shift)
+        (g_shift,) = tape.gradients(loss, [shift])
+        assert g_shift.tobytes() == g_norm.tobytes()
 
     def test_editing_state_mask_leaves_gradients_unchanged(self):
         # The state holds the mask array the block computed, not a copy;

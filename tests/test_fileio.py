@@ -185,6 +185,31 @@ class TestContainer:
             read_container(p)
         assert str(err.value) == message
 
+    def test_every_cut_reports_the_field_it_cuts(self, tmp_path):
+        # one float32 entry 'a' of shape (3, 1): each header field's offset
+        # and name, then the 12-byte payload
+        fields = [(0, "magic"), (4, "version"), (8, "entry count"),
+                  (12, "name length of entry 0"), (16, "name of entry 0"),
+                  (17, "dtype of 'a'"), (21, "rank of 'a'"), (25, "extent 0 of 'a'"),
+                  (29, "extent 1 of 'a'"), (33, "payload of 'a'")]
+        raw = container_header(1) + entry_header("a", 0, (3, 1)) + b"\x00" * 12
+        assert len(raw) == 45
+        p = tmp_path / "x.dvtn"
+        for cut in range(len(raw)):
+            offset, what = [f for f in fields if f[0] <= cut][-1]
+            p.write_bytes(raw[:cut])
+            with pytest.raises(FormatError) as err:
+                read_container(p)
+            assert err.value.offset == offset
+            assert str(err.value) == f"truncated while reading {what} (byte offset {offset})"
+
+    def test_unknown_dtype_is_reported_before_a_cut_rank(self, tmp_path):
+        p = tmp_path / "x.dvtn"
+        p.write_bytes(container_header(1) + entry_header("a", 7, (2,))[:11])
+        with pytest.raises(FormatError) as err:
+            read_container(p)
+        assert str(err.value) == "unknown dtype code 7 (byte offset 17)"
+
     def test_arrays_are_fresh_aligned_and_writable(self, tmp_path):
         cfg = ModelConfig(image_size=32, patch_size=16, channels=8, heads=2,
                           layers=2, num_classes=4, seed=3)

@@ -1,5 +1,7 @@
 """Tests for patch embedding, the full forward pass, blob data, and training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from depvit.model import (
     patch_embed,
 )
 from depvit.pruning import expand_state_mask, retrieve_dense
-from depvit.tensor import Tensor
-from depvit.train import evaluate, toy_train
+from depvit.tensor import Tape, Tensor
+from depvit.train import _batch_loss, evaluate, toy_train
 from oracles import explicit_model_init
 
 
@@ -382,6 +384,31 @@ class TestTraining:
         res = toy_train(data, cfg, steps=60, lr=5e-3, seed=0, batch_size=1)
         assert res.losses[-1] < 0.05
         assert evaluate(data, cfg, res.weights) == 1.0
+
+    def test_evaluate_without_samples_is_usage_error(self):
+        cfg = small_config(image_size=128, layers=2, num_classes=2)
+        with pytest.raises(UsageError):
+            evaluate([], cfg, init_weights(cfg))
+
+    def test_one_backward_adds_little_memory(self):
+        # At the toy geometry (C=32, H=4, L=4, 64 tokens, batch 8), keeping
+        # every intermediate gradient until the end peaked at 15.2 MB above
+        # the entry level; freeing each one once consumed gives about 0.6 MB.
+        # The bound is a quarter of the first figure.
+        cfg = small_config(image_size=128, channels=32, heads=4, layers=4, num_classes=2)
+        weights = init_weights(cfg)
+        params = list(weights.named_tensors().values())
+        with Tape() as tape:
+            loss = _batch_loss(blob_dataset(8, seed=0), cfg, weights)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tape.gradients(loss, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1171
+        assert peak - before < 15.2e6 / 4
 
     def test_divergence_raises_training_error(self):
         cfg = small_config(image_size=128, layers=2, num_classes=2)

@@ -5,9 +5,12 @@ never read back from the implementation.  Backward formulas are verified
 against float64 central differences through grad_check.
 """
 
+import gc
 import inspect
 import math
 import threading
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 
 from depvit import NumericError, ShapeError, UsageError
 from depvit import tensor as T
-from oracles import gelu_kernel, layer_norm_kernel, sigmoid_kernel, softmax_rows_kernel
+from oracles import (gelu_kernel, layer_norm_kernel, replay_tape, sigmoid_kernel,
+                     softmax_rows_kernel)
 
 
 def randu(rng, shape, lo=-1.0, hi=1.0):
@@ -157,6 +161,13 @@ class TestErrorPaths:
             assert not thread.is_alive()
             assert len(main) == 1
         assert seen == {"own": 1}
+
+    def test_cross_entropy_empty_batch_rejected_without_warnings(self):
+        logits = T.tensor(np.zeros((0, 3)), dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError):
+                T.cross_entropy(logits, [])
 
     def test_bad_temperature(self):
         with pytest.raises(UsageError):
@@ -371,6 +382,31 @@ class TestGradients:
 
         assert T.grad_check(f, [x]).max_rel_error < 1e-8
 
+    def test_accumulation_never_writes_into_a_shared_gradient(self):
+        # add hands its output gradient to both inputs as one array, so x's
+        # later contributions must not be summed into it: that would change
+        # y's gradient too.  loss = sum(x + y + x*x): dx = 1 + 2x, dy = 1.
+        x = T.tensor([[0.5, -1.0, 2.0]], dtype=np.float64, requires_grad=True)
+        y = T.tensor([[3.0, 0.0, -4.0]], dtype=np.float64, requires_grad=True)
+        with T.Tape() as tape:
+            sq = T.mul(x, x)
+            loss = T.sum_all(T.add(T.add(x, y), sq))
+        gx, gy = tape.gradients(loss, [x, y])
+        np.testing.assert_array_equal(gx, [[2.0, -1.0, 5.0]])
+        np.testing.assert_array_equal(gy, [[1.0, 1.0, 1.0]])
+
+    def test_scalar_feeding_three_consumers_sums_every_contribution(self):
+        # a 0-d sum of two 0-d arrays is a numpy scalar, which cannot be
+        # added into; each contribution must still reach x
+        x = T.tensor([[0.5, -1.0], [2.0, 3.0]], dtype=np.float64, requires_grad=True)
+        with T.Tape() as tape:
+            s = T.sum_all(x)
+            loss = T.add(T.add(s, s), s)
+        (gx,) = tape.gradients(loss, [x])
+        np.testing.assert_array_equal(gx, np.full((2, 2), 3.0))
+        (want,) = replay_tape(tape._records, loss, [x])
+        assert gx.tobytes() == want.tobytes()
+
     def test_gather_duplicate_rows_scatter_adds(self):
         x = T.tensor(np.ones((3, 2)), dtype=np.float64, requires_grad=True)
         with T.Tape() as tape:
@@ -566,6 +602,19 @@ KERNEL_CALLS = {
     "cross_entropy": (lambda a: T.cross_entropy(a, [0, 2]), [_u(2, 3)]),
 }
 
+# What one tape record keeps alive, taped with every input requiring a
+# gradient: the input positions and "out" whose arrays the backward reads.
+KEPT_ARRAYS = {
+    "matmul": {0, 1}, "batched_matmul": {0, 1}, "mul": {0, 1}, "div": {0, 1},
+    "softmax_rows": {"out"}, "sigmoid": {"out"}, "gelu": {0},
+    "layer_norm": {1},  # x-hat and 1/sigma are its own arrays; 1 is the gain
+    "sum_squares": {0}, "cross_entropy": {0}, "weighted_mean_rows": {0, 1, "out"},
+    "add": set(), "scale": set(), "sum_over_axis": set(), "sum_all": set(),
+    "reshape": set(), "transpose_last2": set(), "slice_last": set(),
+    "concat_last": set(), "split_heads": set(), "merge_heads": set(),
+    "gather_rows": set(),
+}
+
 
 class TestKernelContract:
     """Every kernel follows the same taping and ownership rules."""
@@ -594,3 +643,17 @@ class TestKernelContract:
             with T.Tape() as tape:
                 out = kernel(*inputs(grad_at=i))
             assert len(tape) == 1 and out.requires_grad
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CALLS))
+    def test_record_keeps_only_the_arrays_its_backward_reads(self, name):
+        kernel, arrays = KERNEL_CALLS[name]
+        fresh = [a.copy() for a in arrays]
+        inputs = [T.Tensor(a, requires_grad=True) for a in fresh]  # no copy
+        with T.Tape() as tape:
+            out = kernel(*inputs)
+        refs = dict(zip(range(len(fresh)), map(weakref.ref, fresh)))
+        refs["out"] = weakref.ref(out.data)
+        del fresh, inputs, out
+        gc.collect()
+        assert len(tape) == 1
+        assert {key for key, ref in refs.items() if ref() is not None} == KEPT_ARRAYS[name]
