@@ -151,7 +151,7 @@ def reverse_compose(attn: Tensor, head_probs: Tensor,
     h = attn.shape[0]
     send = tn.mul(head_probs, tn.reshape(gate_cum, (n, 1)))  # (N, H)
     send_rows = tn.reshape(tn.transpose_last2(send), (h, 1, n))
-    rev = tn.mul(tn.transpose_last2(attn), send_rows)        # (H, N, N)
+    rev = tn.transpose_mul(attn, send_rows)                  # (H, N, N)
     mask = tn.sum_over_axis(rev, 0)
     return rev, mask
 

@@ -24,7 +24,7 @@ CROSS_COS_MAX = 0.10
 class BlobSample:
     """One scene: image, its patch-level region labels, and the class."""
 
-    image: np.ndarray    # (grid*patch, grid*patch, 3) floats in [0, 1]
+    image: np.ndarray    # (grid*patch, grid*patch, 3) float32 in [0, 1]
     labels: np.ndarray   # (grid, grid) region id per patch
     k: int               # number of blobs
     label: int           # classification target (k minus the smallest k)
@@ -111,7 +111,9 @@ def blob_scene(k: int, rng: np.random.Generator, grid: int = 8,
         sel = channel_of == ch
         image[..., ch][sel] = main[sel]
     _check_geometry(image, labels, patch)
-    return BlobSample(image=image, labels=labels, k=k, label=0)
+    # drawn and checked in float64, kept at the width read_ppm returns and
+    # a float32 model embeds
+    return BlobSample(image=image.astype(np.float32), labels=labels, k=k, label=0)
 
 
 def blob_dataset(count: int, seed: int, ks: tuple[int, ...] = (2, 3),

@@ -29,6 +29,7 @@ VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _U32 = struct.Struct("<I")
+_MAX_RANK = 64  # numpy's dimension limit
 
 
 def write_container(path, entries: dict[str, np.ndarray]) -> None:
@@ -121,7 +122,16 @@ def read_container(path) -> dict[str, np.ndarray]:
             code = u32("dtype of {!r}", name)
             if code not in _DTYPES:
                 raise FormatError(f"unknown dtype code {code}", offset=code_at)
+            rank_at = pos
             rank = u32("rank of {!r}", name)
+            if rank > _MAX_RANK:
+                # numpy cannot build it, so no extent is unpacked: a rank whose
+                # extents overrun the file is named at its own offset
+                if 4 * rank > size - pos:
+                    raise FormatError(f"rank {rank} of {name!r} is above numpy's "
+                                      f"{_MAX_RANK} dimensions", offset=rank_at)
+                raise FormatError(f"entry {name!r} has unrepresentable shape of rank {rank}",
+                                  offset=pos + 4 * rank)
             shape = extents(rank, name)
             nbytes = math.prod(shape) * _DTYPES[code].itemsize
             payload_at = need(nbytes, "payload of {!r}", name)
@@ -236,6 +246,8 @@ def write_ppm(path, image: np.ndarray) -> None:
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise UsageError("image must be (H, W, 3)")
+    if not np.isfinite(img).all():
+        raise UsageError("image holds non-finite values")
     h, w = img.shape[:2]
     body = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode() + body.tobytes())
@@ -321,7 +333,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    return parse_config(text)
 
 
 def tree_to_json_dict(tree: DependencyTree) -> dict:

@@ -209,10 +209,10 @@ def ledger_fault(n_tokens: int, events) -> str | None:
     return None
 
 
-# Row kernels, forward and backward, one fresh array per step.  Each takes
-# the input arrays plus the output gradient ``g`` and returns the output
-# followed by the input gradients; the tensor kernels must match them bit
-# for bit.
+# Row kernels and the reversed-stack product, forward and backward, one
+# fresh array per step.  Each takes the input arrays plus the output
+# gradient ``g`` and returns the output followed by the input gradients;
+# the tensor kernels must match them bit for bit.
 
 def softmax_rows_kernel(x, temperature, g):
     z = x / x.dtype.type(temperature)
@@ -249,6 +249,24 @@ def layer_norm_kernel(x, gain, bias, g, eps=1e-6):
     m2 = (gy * xhat).mean(axis=-1, keepdims=True)
     gx = (gy - m1 - xhat * m2) * inv
     return y, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def _unbroadcast(grad, shape):
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    return grad.sum(axis=axes, keepdims=True) if axes else grad
+
+
+def transpose_mul_kernel(a, b, g):
+    """``mul(transpose_last2(a), b)`` as two taped kernels compute it: a
+    C-order transposed copy of ``a``, the broadcast product, then each
+    kernel's backward in turn."""
+    at = np.swapaxes(a, -1, -2).copy()
+    y = at * b
+    ga = np.swapaxes(_unbroadcast(g * b, at.shape), -1, -2).copy()
+    return y, ga, _unbroadcast(g * at, b.shape)
 
 
 def replay_tape(records, loss, wrt):

@@ -313,6 +313,23 @@ class TestUsage:
         assert run(["parse", "--input", str(image), "--weights", str(weights),
                     "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["flops", "parse", "prune", "train-toy"])
+    def test_config_that_is_not_utf8_is_usage_error(self, workdir, tmp_path, capsys,
+                                                    command):
+        d, _, weights, image = workdir
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe" + SMALL_CFG.encode("utf-16-le"))
+        extra = {
+            "flops": [],
+            "parse": ["--input", str(image), "--weights", str(weights)],
+            "prune": ["--input", str(image), "--weights", str(weights),
+                      "--ledger", str(tmp_path / "ledger.json")],
+            "train-toy": ["--steps", "1", "--samples", "2"],
+        }[command]
+        assert run([command, "--config", str(bad), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "Traceback" not in err
+
     def test_unsupported_input_extension(self, workdir, tmp_path):
         d, cfg, weights, _ = workdir
         p = tmp_path / "x.png"

@@ -4,6 +4,8 @@ import itertools
 import json
 import os
 import struct
+import tracemalloc
+import warnings
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -210,6 +212,40 @@ class TestContainer:
             read_container(p)
         assert str(err.value) == "unknown dtype code 7 (byte offset 17)"
 
+    def test_rank_above_numpy_limit_is_refused_before_its_extents(self, tmp_path):
+        # the tiny weights (22.9 MB) with the first entry's rank set to
+        # 2^32-1: unpacked as extents, the rest of the file would take
+        # hundreds of MB before a cut extent was reported
+        p = tmp_path / "w.dvtn"
+        save_weights(p, init_weights(ModelConfig()))
+        raw = bytearray(p.read_bytes())
+        rank_at = len(container_header(1)) + 4 + len("patch_proj") + 4
+        assert struct.unpack_from("<I", raw, rank_at) == (2,)
+        struct.pack_into("<I", raw, rank_at, 2**32 - 1)
+        p.write_bytes(raw)
+        del raw
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as err:
+                read_container(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == ("rank 4294967295 of 'patch_proj' is above numpy's "
+                                  f"64 dimensions (byte offset {rank_at})")
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("rank", [65, 2**32 - 1])
+    def test_rank_above_numpy_limit_is_named_when_its_extents_overrun(self, tmp_path, rank):
+        # 8 bytes follow the rank: two extents' worth, far fewer than it declares
+        p = tmp_path / "x.dvtn"
+        p.write_bytes(container_header(1) + struct.pack("<I", 1) + b"a"
+                      + struct.pack("<II", 0, rank) + b"\x00" * 8)
+        with pytest.raises(FormatError) as err:
+            read_container(p)
+        assert str(err.value) == (f"rank {rank} of 'a' is above numpy's 64 dimensions"
+                                  " (byte offset 21)")
+
     def test_arrays_are_fresh_aligned_and_writable(self, tmp_path):
         cfg = ModelConfig(image_size=32, patch_size=16, channels=8, heads=2,
                           layers=2, num_classes=4, seed=3)
@@ -315,6 +351,18 @@ class TestPpm:
         back = read_ppm(p)
         assert back.shape == (6, 4, 3)
         assert np.abs(back - img).max() <= 0.5 / 255
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_is_refused_before_the_file(self, tmp_path, bad):
+        # the uint8 cast turns NaN into 0 with only a RuntimeWarning
+        img = np.full((2, 2, 3), 0.5, dtype=np.float32)
+        img[1, 0, 2] = bad
+        p = tmp_path / "x.ppm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="non-finite"):
+                write_ppm(p, img)
+        assert not p.exists()
 
     def test_comments_and_whitespace(self, tmp_path):
         p = tmp_path / "x.ppm"

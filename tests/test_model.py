@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from depvit.data import blob_dataset, blob_scene, patch_vectors
+from depvit.data import BlobSample, blob_dataset, blob_scene, patch_vectors
 from depvit.errors import ConfigError, IntegrityError, ShapeError, TrainingError, UsageError
 from depvit.model import (
     LITE_SCHEDULE,
@@ -302,6 +302,7 @@ class TestBlobData:
     def test_shapes_and_label(self):
         s = blob_scene(2, np.random.default_rng(0))
         assert s.image.shape == (128, 128, 3)
+        assert s.image.dtype == np.float32  # as read_ppm returns
         assert s.labels.shape == (8, 8)
         assert s.k == 2
         assert set(np.unique(s.labels)) == {0, 1}
@@ -394,21 +395,43 @@ class TestTraining:
         # At the toy geometry (C=32, H=4, L=4, 64 tokens, batch 8), keeping
         # every intermediate gradient until the end peaked at 15.2 MB above
         # the entry level; freeing each one once consumed gives about 0.6 MB.
-        # The bound is a quarter of the first figure.
+        # The bound is a quarter of the first figure.  The forward leaves
+        # 12.24 MB on the tape (14.35 MB while the reversed stack was built
+        # from a transposed copy of each attention table, one more record
+        # per block and image); that bound is the first figure plus 5%.
         cfg = small_config(image_size=128, channels=32, heads=4, layers=4, num_classes=2)
         weights = init_weights(cfg)
         params = list(weights.named_tensors().values())
-        with Tape() as tape:
-            loss = _batch_loss(blob_dataset(8, seed=0), cfg, weights)
+        data = blob_dataset(8, seed=0)
         tracemalloc.start()
         try:
+            start, _ = tracemalloc.get_traced_memory()
+            with Tape() as tape:
+                loss = _batch_loss(data, cfg, weights)
             before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             tape.gradients(loss, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(tape) == 1171
+        assert len(tape) == 1139
+        assert before - start < 12.24e6 * 1.05
         assert peak - before < 15.2e6 / 4
+
+    def test_float32_scenes_train_as_float64_ones_did(self):
+        # a float32 model casts each image to float32 when it embeds it, so
+        # a float64 copy of each scene trains to the same bytes
+        cfg = small_config(image_size=128, layers=2, num_classes=2,
+                           prune_schedule=((1, 48),))
+        data = blob_dataset(6, seed=5)
+        wide = [BlobSample(image=s.image.astype(np.float64), labels=s.labels, k=s.k,
+                           label=s.label) for s in data]
+        runs = [toy_train(d, cfg, steps=3, lr=3e-3, seed=2, batch_size=3) for d in (data, wide)]
+        assert runs[0].losses == runs[1].losses
+        assert runs[0].accuracy == runs[1].accuracy
+        for a, b in zip(runs[0].weights.named_tensors().values(),
+                        runs[1].weights.named_tensors().values()):
+            assert a.data.tobytes() == b.data.tobytes()
 
     def test_divergence_raises_training_error(self):
         cfg = small_config(image_size=128, layers=2, num_classes=2)
