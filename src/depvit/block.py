@@ -20,6 +20,8 @@ from . import tensor as tn
 from .errors import ShapeError, UsageError
 from .tensor import Tensor
 
+SELECTOR_TEMPERATURE = 0.1  # head-selector softmax temperature, the model default
+
 
 @dataclass
 class BlockWeights:
@@ -157,7 +159,8 @@ def reverse_compose(attn: Tensor, head_probs: Tensor,
 
 
 def block_forward(x: Tensor, weights: BlockWeights, gate_prev: Tensor,
-                  temperature: float = 0.1) -> tuple[Tensor, Tensor, AttentionState]:
+                  temperature: float = SELECTOR_TEMPERATURE
+                  ) -> tuple[Tensor, Tensor, AttentionState]:
     """One pre-norm block pass over (N, C) tokens, child sending to parent.
 
     Returns the updated tokens, the cumulative gate after this block, and a
@@ -198,7 +201,7 @@ def pool_tokens(tokens: Tensor, gates: Tensor) -> Tensor:
 
 
 def block_probe_loss(inputs: list[Tensor], weights_template: BlockWeights,
-                     temperature: float = 0.1) -> Tensor:
+                     temperature: float = SELECTOR_TEMPERATURE) -> Tensor:
     """Scalar probe for gradient checking the whole block.
 
     ``inputs`` is [x, gate_prev, *weight tensors in named_tensors order];

@@ -76,19 +76,17 @@ def _load_input(path: str, config) -> np.ndarray:
     raise UsageError(f"unsupported input {path!r}; expected .ppm or .dvtn")
 
 
-def _forward_from_args(args):
-    cfg = load_config(args.config)
-    mc = cfg.to_model_config()
-    weights = load_weights(args.weights, mc)
-    inputs = _load_input(args.input, mc)
-    return cfg, mc, model_forward(inputs, mc, weights)
+def _forward(args, config):
+    weights = load_weights(args.weights, config)
+    return model_forward(_load_input(args.input, config), config, weights)
 
 
 def _cmd_parse(args) -> int:
-    cfg, mc, res = _forward_from_args(args)
+    cfg = load_config(args.config)
+    if args.layer is not None and not 1 <= args.layer <= cfg.layers:
+        raise UsageError(f"--layer {args.layer} outside 1..{cfg.layers}")
+    res = _forward(args, cfg)
     if args.layer is not None:
-        if not 1 <= args.layer <= mc.layers:
-            raise UsageError(f"--layer {args.layer} outside 1..{mc.layers}")
         mask = expand_state_mask(res.states[args.layer - 1], res.ledger)
     else:
         mask = aggregate_masks(res.states, res.ledger)
@@ -103,7 +101,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    _, _, res = _forward_from_args(args)
+    res = _forward(args, load_config(args.config))
     write_json(args.ledger, res.ledger.to_json_dict())
     if args.tokens:
         dense = retrieve_dense(res.tokens, res.ledger)
@@ -146,8 +144,7 @@ def _cmd_eval_saliency(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    cfg = load_config(args.config)
-    rep = model_cost(cfg.to_model_config())
+    rep = model_cost(load_config(args.config))
     if args.table:
         print(rep.table())
     else:
@@ -185,10 +182,9 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_train_toy(args) -> int:
     cfg = load_config(args.config)
-    mc = cfg.to_model_config()
     data = blob_dataset(args.samples, seed=args.seed,
-                        grid=mc.grid, patch=mc.patch_size)
-    result = toy_train(data, mc, steps=args.steps, lr=args.lr,
+                        grid=cfg.grid, patch=cfg.patch_size)
+    result = toy_train(data, cfg, steps=args.steps, lr=args.lr,
                        seed=args.seed, batch_size=args.batch)
     _emit(
         {

@@ -10,17 +10,12 @@ in channels; the linear figure sometimes quoted for it is carried along as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import UsageError
 from .model import ModelConfig, parameter_shapes
-
-BREAKDOWN_KEYS = (
-    "attention", "projections", "ffn", "selector", "controller",
-    "embedder", "classifier",
-)
 
 
 @dataclass(frozen=True)
@@ -36,8 +31,12 @@ class LayerCost:
 
     @property
     def total(self) -> int:
-        return (self.attention + self.projections + self.ffn
-                + self.selector + self.controller)
+        return sum(getattr(self, k) for k in LAYER_COMPONENTS)
+
+
+# every LayerCost field but the claim is summed; the model adds two of its own
+LAYER_COMPONENTS = tuple(f.name for f in fields(LayerCost) if f.name != "controller_claim")
+BREAKDOWN_KEYS = (*LAYER_COMPONENTS, "embedder", "classifier")
 
 
 def layer_flops(n: int, c: int, h: int) -> LayerCost:
@@ -71,13 +70,7 @@ class CostReport:
             raise UsageError("cost breakdown keys are fixed")
 
     def to_json_dict(self) -> dict:
-        return {
-            "per_layer": list(self.per_layer),
-            "total": self.total,
-            "param_count": self.param_count,
-            "breakdown": dict(self.breakdown),
-            "controller_claim": self.controller_claim,
-        }
+        return asdict(self)
 
     def table(self) -> str:
         """Human-readable fixed-width summary."""
@@ -107,28 +100,18 @@ def tokens_per_layer(config: ModelConfig) -> list[int]:
 def model_cost(config: ModelConfig) -> CostReport:
     """Aggregate cost of the configured model, schedule included."""
     c, h = config.channels, config.heads
-    per_layer: list[int] = []
-    agg = {k: 0 for k in BREAKDOWN_KEYS}
-    claim = 0
-    for n in tokens_per_layer(config):
-        lc = layer_flops(n, c, h)
-        per_layer.append(lc.total)
-        agg["attention"] += lc.attention
-        agg["projections"] += lc.projections
-        agg["ffn"] += lc.ffn
-        agg["selector"] += lc.selector
-        agg["controller"] += lc.controller
-        claim += lc.controller_claim
-    agg["embedder"] = config.tokens * config.patch_dim * c
-    agg["classifier"] = c * config.num_classes
+    layers = [layer_flops(n, c, h) for n in tokens_per_layer(config)]
+    agg = {k: sum(getattr(lc, k) for lc in layers) for k in LAYER_COMPONENTS}
+    agg.update(embedder=config.tokens * config.patch_dim * c,
+               classifier=c * config.num_classes)
     shapes = parameter_shapes(config)
     params = sum(int(np.prod(s)) for s in shapes.values())
     report = CostReport(
-        per_layer=per_layer,
+        per_layer=[lc.total for lc in layers],
         total=sum(agg.values()),
         param_count=params,
         breakdown=agg,
-        controller_claim=claim,
+        controller_claim=sum(lc.controller_claim for lc in layers),
     )
     report.validate()
     return report

@@ -9,8 +9,9 @@ vector of an affinity graph (normalized cut).
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -61,20 +62,13 @@ class MetricReport:
     matching: list[tuple[int, int]] = field(default_factory=list)
 
     def validate(self) -> None:
-        for name in ("miou", "macc", "max_f_beta", "iou", "acc"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0 + 1e-9:
-                raise UsageError(f"{name} = {v} outside [0, 1]")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name != "matching" and v is not None and not 0.0 <= v <= 1.0 + 1e-9:
+                raise UsageError(f"{f.name} = {v} outside [0, 1]")
 
     def to_json_dict(self) -> dict:
-        return {
-            "miou": self.miou,
-            "macc": self.macc,
-            "max_f_beta": self.max_f_beta,
-            "iou": self.iou,
-            "acc": self.acc,
-            "matching": [[int(p), int(g)] for p, g in self.matching],
-        }
+        return json.loads(json.dumps(asdict(self)))  # matched pairs as JSON lists
 
 
 def _best_total(scores: np.ndarray) -> float:

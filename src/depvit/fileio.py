@@ -13,7 +13,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -180,6 +180,8 @@ def load_weights(path, config: ModelConfig) -> ModelWeights:
             raise FormatError(
                 f"entry {name!r} shaped {arr.shape}, config wants {shape}", offset=0
             )
+        if not np.isfinite(arr).all():
+            raise FormatError(f"entry {name!r} holds non-finite values", offset=0)
         tensors[name] = Tensor(arr)
     return ModelWeights.from_named_tensors(config, tensors)
 
@@ -253,44 +255,20 @@ def write_ppm(path, image: np.ndarray) -> None:
     Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode() + body.tobytes())
 
 
-_MODEL_DEFAULTS = ModelConfig()
-
-
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs: model dimensions plus protocol knobs."""
+class RunConfig(ModelConfig):
+    """A model configuration plus the part-size floor of ``partition_subtrees``."""
 
-    image_size: int = _MODEL_DEFAULTS.image_size
-    patch_size: int = _MODEL_DEFAULTS.patch_size
-    channels: int = _MODEL_DEFAULTS.channels
-    heads: int = _MODEL_DEFAULTS.heads
-    layers: int = _MODEL_DEFAULTS.layers
-    temperature: float = _MODEL_DEFAULTS.temperature
-    prune_layers: tuple[int, ...] = ()
-    kept_tokens: tuple[int, ...] = ()
-    num_classes: int = _MODEL_DEFAULTS.num_classes
-    seed: int = _MODEL_DEFAULTS.seed
     min_part_size: float = 0.01
 
     def __post_init__(self):
-        if len(self.prune_layers) != len(self.kept_tokens):
-            raise ConfigError(
-                "prune_layers and kept_tokens must pair up "
-                f"({len(self.prune_layers)} vs {len(self.kept_tokens)})"
-            )
+        super().__post_init__()
+        if not 0.0 <= self.min_part_size <= 1.0:
+            raise ConfigError(f"min_part_size must be within [0, 1], got {self.min_part_size}")
 
     def to_model_config(self) -> ModelConfig:
-        return ModelConfig(
-            image_size=self.image_size,
-            patch_size=self.patch_size,
-            channels=self.channels,
-            heads=self.heads,
-            layers=self.layers,
-            temperature=self.temperature,
-            prune_schedule=tuple(zip(self.prune_layers, self.kept_tokens)),
-            num_classes=self.num_classes,
-            seed=self.seed,
-        )
+        """The same model as a plain ``ModelConfig``, without ``min_part_size``."""
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
 
 def _finite_float(text: str) -> float:
@@ -304,14 +282,21 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-_VALUE_PARSERS = {int: int, float: _finite_float, tuple[int, ...]: _int_list}
+# the prune schedule is written as two lists, layer numbers and kept counts
+_VALUE_PARSERS = {int: int, float: _finite_float}
 _KEY_PARSERS = {
-    name: _VALUE_PARSERS[kind] for name, kind in get_type_hints(RunConfig).items()
+    **{name: _VALUE_PARSERS[kind] for name, kind in get_type_hints(RunConfig).items()
+       if name != "prune_schedule"},
+    "prune_layers": _int_list,
+    "kept_tokens": _int_list,
 }
 
 
 def parse_config(text: str) -> RunConfig:
-    """key=value lines; # comments and blank lines ignored; keys fixed."""
+    """key=value lines; # comments and blank lines ignored; keys fixed.
+
+    Every value is checked here, so a loaded config is a valid model config.
+    """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -329,7 +314,12 @@ def parse_config(text: str) -> RunConfig:
             values[key] = _KEY_PARSERS[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-    return RunConfig(**values)
+    layers, kept = values.pop("prune_layers", ()), values.pop("kept_tokens", ())
+    if len(layers) != len(kept):
+        raise ConfigError(
+            f"prune_layers and kept_tokens must pair up ({len(layers)} vs {len(kept)})"
+        )
+    return RunConfig(prune_schedule=tuple(zip(layers, kept)), **values)
 
 
 def load_config(path) -> RunConfig:
@@ -412,7 +402,11 @@ def load_grid_values(path) -> np.ndarray:
     try:
         d = json.loads(Path(path).read_text())
         arr = np.asarray(d["labels"], dtype=np.float64)
-        if arr.shape != (int(d["height"]), int(d["width"])):
+        size = (d["height"], d["width"])
+        if any(int(v) != float(v) for v in size):
+            raise FormatError(f"grid height and width must be whole numbers, got {size}",
+                              offset=0)
+        if arr.shape != tuple(map(int, size)):
             raise FormatError("grid labels disagree with declared size", offset=0)
         if arr.size == 0:
             raise FormatError("grid width and height must be positive", offset=0)

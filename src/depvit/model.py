@@ -14,6 +14,7 @@ import numpy as np
 
 from . import tensor as tn
 from .block import (
+    SELECTOR_TEMPERATURE,
     AttentionState,
     BlockWeights,
     block_forward,
@@ -36,7 +37,7 @@ class ModelConfig:
     channels: int = 192
     heads: int = 12
     layers: int = 12
-    temperature: float = 0.1
+    temperature: float = SELECTOR_TEMPERATURE
     prune_schedule: tuple[tuple[int, int], ...] = ()
     num_classes: int = 1000
     seed: int = 0
@@ -183,8 +184,7 @@ class ForwardResult:
     pooled: Tensor            # (1, C) gate-weighted mean
     logits: Tensor            # (num_classes,)
     gates: Tensor             # final cumulative gate over survivors, (S,)
-    survivors: np.ndarray     # original indices of surviving tokens
-    ledger: PruneLedger
+    ledger: PruneLedger       # survivors(): original index of each row of tokens
 
     @property
     def prediction(self) -> int:
@@ -244,5 +244,5 @@ def model_forward(inputs, config: ModelConfig, weights: ModelWeights) -> Forward
     logits = tn.reshape(logits2d, (config.num_classes,))
     return ForwardResult(
         states=states, tokens=x, pooled=pooled, logits=logits,
-        gates=gate, survivors=survivors, ledger=ledger,
+        gates=gate, ledger=ledger,
     )

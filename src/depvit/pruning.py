@@ -18,7 +18,6 @@ import numpy as np
 from .block import AttentionState
 from .errors import IntegrityError, UsageError
 from .tensor import Tensor
-from .tree import argmax_graph, received_mass
 
 
 @dataclass
@@ -119,6 +118,34 @@ class PruneLedger:
             raise IntegrityError(f"malformed ledger payload: {exc}") from exc
         ledger.validate()
         return ledger
+
+
+def argmax_graph(mask: np.ndarray) -> np.ndarray:
+    """Greedy parent per token: the row with the largest entry in its column.
+
+    A single token is its own root (-1).  Ties pick the lowest row index.
+    The result may contain cycles; it is a graph, not yet a tree.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    n = mask.shape[0]
+    if mask.shape != (n, n):
+        raise UsageError(f"mask must be square, got {mask.shape}")
+    if n == 1:
+        return np.array([-1], dtype=np.int64)
+    w = mask.copy()
+    np.fill_diagonal(w, -np.inf)
+    return np.argmax(w, axis=0).astype(np.int64)
+
+
+def received_mass(states: list[AttentionState]) -> np.ndarray:
+    """Total incoming dependency mass per original token, summed over blocks."""
+    if not states:
+        raise UsageError("received_mass needs at least one block state")
+    n_tokens = int(max(int(st.token_indices.max()) for st in states) + 1)
+    out = np.zeros(n_tokens, dtype=np.float64)
+    for st in states:
+        out[st.token_indices] += st.mask.sum(axis=1)
+    return out
 
 
 def _event_distribution(column: np.ndarray, local_alive: np.ndarray,

@@ -18,8 +18,7 @@ import numpy as np
 
 from .block import AttentionState
 from .errors import IntegrityError, NumericError, UsageError
-
-_NEG = -np.inf
+from .pruning import expand_state_mask
 
 
 @dataclass
@@ -84,23 +83,6 @@ def _depths(parent: np.ndarray, root: int) -> np.ndarray:
     return depth
 
 
-def argmax_graph(mask: np.ndarray) -> np.ndarray:
-    """Greedy parent per token: the row with the largest entry in its column.
-
-    A single token is its own root (-1).  Ties pick the lowest row index.
-    The result may contain cycles; it is a graph, not yet a tree.
-    """
-    mask = np.asarray(mask, dtype=np.float64)
-    n = mask.shape[0]
-    if mask.shape != (n, n):
-        raise UsageError(f"mask must be square, got {mask.shape}")
-    if n == 1:
-        return np.array([-1], dtype=np.int64)
-    w = mask.copy()
-    np.fill_diagonal(w, _NEG)
-    return np.argmax(w, axis=0).astype(np.int64)
-
-
 def _max_arborescence(w: np.ndarray, root_w: np.ndarray) -> np.ndarray:
     """Best parents with exactly one root, in one contraction pass.
 
@@ -128,7 +110,7 @@ def _max_arborescence(w: np.ndarray, root_w: np.ndarray) -> np.ndarray:
     """
     n = root_w.size
     w = w.copy()
-    np.fill_diagonal(w, _NEG)
+    np.fill_diagonal(w, -np.inf)
     root_w = root_w.copy()
     node = np.arange(n)  # id of the (super)node in each slot
     live = np.ones(n, dtype=bool)
@@ -213,17 +195,6 @@ def chu_liu_edmonds(scores: np.ndarray, root_scores: np.ndarray) -> DependencyTr
     return tree
 
 
-def received_mass(states: list[AttentionState]) -> np.ndarray:
-    """Total incoming dependency mass per original token, summed over blocks."""
-    if not states:
-        raise UsageError("received_mass needs at least one block state")
-    n_tokens = int(max(int(st.token_indices.max()) for st in states) + 1)
-    out = np.zeros(n_tokens, dtype=np.float64)
-    for st in states:
-        out[st.token_indices] += st.mask.sum(axis=1)
-    return out
-
-
 def aggregate_masks(states: list[AttentionState], ledger=None) -> np.ndarray:
     """Mean dependency mask over blocks, in original token coordinates.
 
@@ -241,8 +212,6 @@ def aggregate_masks(states: list[AttentionState], ledger=None) -> np.ndarray:
         else:
             if ledger is None:
                 raise UsageError("pruned states require the prune ledger to aggregate")
-            from .pruning import expand_state_mask
-
             full.append(expand_state_mask(st, ledger))
     return np.mean(np.stack(full), axis=0)
 

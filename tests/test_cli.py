@@ -416,6 +416,52 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "2x1" in err and "1x2" in err and "check failed" not in err
 
+    @pytest.mark.parametrize("command", ["parse", "prune"])
+    def test_non_finite_weights_are_usage_error(self, workdir, tmp_path, capsys, command):
+        d, cfg, weights, image = workdir
+        entries = read_container(weights)
+        entries["block00.w_q"][0, 0] = np.nan
+        bad = tmp_path / "nan.dvtn"
+        write_container(bad, entries)
+        argv = [command, "--input", str(image), "--weights", str(bad), "--config", str(cfg)]
+        if command == "prune":
+            argv += ["--ledger", str(tmp_path / "ledger.json")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "block00.w_q" in err and "check failed" not in err
+
+    def test_fractional_grid_size_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "g.json"
+        p.write_text('{"width": 2, "height": 2.9, "labels": [[0, 1], [1, 0]]}')
+        assert run(["eval-parts", "--pred", str(p), "--gt", str(p)]) == 2
+        assert "whole numbers" in capsys.readouterr().err
+
+    def test_layer_is_checked_before_the_weights_load(self, workdir, tmp_path, capsys):
+        d, cfg, _, image = workdir
+        junk = tmp_path / "junk.dvtn"
+        junk.write_bytes(b"not a container")
+        assert run(["parse", "--input", str(image), "--weights", str(junk),
+                    "--config", str(cfg), "--layer", "3"]) == 2
+        assert "--layer 3 outside 1..2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["flops", "parse", "prune", "train-toy"])
+    def test_min_part_size_is_checked_at_load(self, workdir, tmp_path, capsys, command):
+        d, _, _, image = workdir
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + "min_part_size=2\n")
+        junk = tmp_path / "junk.dvtn"  # never read: the config fails first
+        junk.write_bytes(b"not a container")
+        argv = [command, "--config", str(bad)]
+        if command in ("parse", "prune"):
+            argv += ["--input", str(image), "--weights", str(junk)]
+        if command == "prune":
+            argv += ["--ledger", str(tmp_path / "ledger.json")]
+        if command == "train-toy":
+            argv += ["--steps", "1", "--samples", "2"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "min_part_size" in err and "check failed" not in err
+
     def test_saliency_rejects_nan_prediction(self, tmp_path, capsys):
         pred, gt = tmp_path / "pred.json", tmp_path / "gt.json"
         pred.write_text('{"width": 2, "height": 2, "labels": [[NaN, 1], [1, 0]]}')

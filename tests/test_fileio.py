@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from depvit.errors import ConfigError, DepvitError, FormatError, IntegrityError, UsageError
 from depvit.fileio import (
+    _KEY_PARSERS,
     RunConfig,
     load_grid_values,
     load_weights,
@@ -342,6 +343,18 @@ class TestWeightsIO:
         with pytest.raises(FormatError):
             load_weights(p, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, tmp_path, bad):
+        cfg = ModelConfig(image_size=32, patch_size=16, channels=8, heads=2,
+                          layers=1, num_classes=4)
+        entries = {k: t.data for k, t in init_weights(cfg).named_tensors().items()}
+        entries["block00.w_q"][1, 2] = bad
+        p = tmp_path / "w.dvtn"
+        write_container(p, entries)
+        with pytest.raises(FormatError) as err:
+            load_weights(p, cfg)
+        assert "block00.w_q" in str(err.value) and "non-finite" in str(err.value)
+
 
 class TestPpm:
     def test_round_trip(self, tmp_path):
@@ -438,6 +451,21 @@ class TestRunConfig:
         mc = cfg.to_model_config()
         assert mc.prune_schedule == ((2, 160), (5, 128), (8, 96), (11, 64))
 
+    def test_declares_only_min_part_size_beyond_the_model_config(self):
+        model_fields = [f.name for f in fields(ModelConfig)]
+        assert [f.name for f in fields(RunConfig)] == model_fields + ["min_part_size"]
+        assert len(_KEY_PARSERS) == 11
+        assert set(_KEY_PARSERS) == (set(model_fields) - {"prune_schedule"}
+                                     | {"prune_layers", "kept_tokens", "min_part_size"})
+
+    def test_model_config_is_the_projection(self):
+        cfg = parse_config("image_size=64\nchannels=16\nheads=4\nlayers=3\n"
+                           "prune_layers=2\nkept_tokens=9\nmin_part_size=0.5")
+        mc = cfg.to_model_config()
+        assert type(mc) is ModelConfig
+        assert mc == ModelConfig(image_size=64, channels=16, heads=4, layers=3,
+                                 prune_schedule=((2, 9),))
+
     @pytest.mark.parametrize("line", [
         "temperature=nan", "temperature=inf", "temperature=-inf", "min_part_size=nan",
     ])
@@ -446,19 +474,20 @@ class TestRunConfig:
             parse_config(line)
         assert "bad value" in str(err.value)
 
-    @pytest.mark.parametrize("line", ["heads=0", "heads=-4", "channels=0", "seed=-1"])
+    @pytest.mark.parametrize("line", ["heads=0", "heads=-4", "channels=0", "seed=-1",
+                                      "min_part_size=2", "min_part_size=-0.01"])
     def test_degenerate_model_values_rejected(self, line):
         with pytest.raises(ConfigError):
-            parse_config(line).to_model_config()
+            parse_config(line)
 
     def test_mismatched_schedule_lists(self):
         with pytest.raises(ConfigError):
             parse_config("prune_layers=2,5\nkept_tokens=160")
 
     def test_schedule_validation_delegated(self):
-        cfg = parse_config("prune_layers=5,2\nkept_tokens=160,128")
-        with pytest.raises(ConfigError):
-            cfg.to_model_config()
+        with pytest.raises(ConfigError) as err:
+            parse_config("prune_layers=5,2\nkept_tokens=160,128")
+        assert "strictly increasing" in str(err.value)
 
 
 class TestTreeJson:
@@ -555,6 +584,19 @@ class TestGridAndMaskJson:
         write_json(p, {"width": 3, "height": 1, "labels": [[0.5, 1.0]]})
         with pytest.raises(FormatError):
             load_grid_values(p)
+
+    @pytest.mark.parametrize("width, height", [(2, 2.9), (2.5, 2)])
+    def test_fractional_grid_size_rejected(self, tmp_path, width, height):
+        p = tmp_path / "g.json"
+        write_json(p, {"width": width, "height": height, "labels": [[0, 1], [1, 0]]})
+        with pytest.raises(FormatError) as err:
+            load_grid_values(p)
+        assert "whole numbers" in str(err.value)
+
+    def test_whole_float_grid_size_accepted(self, tmp_path):
+        p = tmp_path / "g.json"
+        write_json(p, {"width": 2.0, "height": 1.0, "labels": [[0, 1]]})
+        np.testing.assert_array_equal(load_grid_values(p), [[0.0, 1.0]])
 
 
 # -- readers under generated input -------------------------------------------
@@ -666,7 +708,7 @@ def _config_value_text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else repr(value)
 
 
-_CONFIG_KEYS = st.sampled_from([f.name for f in fields(RunConfig)] + ["beta2"])
+_CONFIG_KEYS = st.sampled_from(list(_KEY_PARSERS) + ["beta2"])
 _CONFIG_VALUES = (
     st.integers(-3, 300).map(str)
     | st.floats().map(repr)
@@ -715,14 +757,14 @@ class TestReaderProperties:
             cfg = parse_config(text)
         except DepvitError:
             return
-        again = "\n".join(
-            f"{f.name}={_config_value_text(getattr(cfg, f.name))}" for f in fields(cfg)
-        )
+        values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        schedule = values.pop("prune_schedule")
+        values["prune_layers"] = tuple(layer for layer, _ in schedule)
+        values["kept_tokens"] = tuple(kept for _, kept in schedule)
+        assert set(values) == set(_KEY_PARSERS)
+        again = "\n".join(f"{k}={_config_value_text(v)}" for k, v in values.items())
         assert parse_config(again) == cfg
-        try:
-            cfg.to_model_config()
-        except DepvitError:
-            pass
+        cfg.to_model_config()  # every check ran at load, so this cannot raise
 
     @given(ppm_bytes())
     @settings(max_examples=200, deadline=None)

@@ -200,7 +200,7 @@ class TestForward:
         for st in res.states:
             assert st.mask.shape == (16, 16)
         assert res.ledger.events == []
-        assert list(res.survivors) == list(range(16))
+        assert list(res.ledger.survivors()) == list(range(16))
 
     def test_token_matrix_input_used_as_is(self):
         cfg = small_config()
@@ -217,7 +217,7 @@ class TestForward:
         res = model_forward(img, cfg, w)
         sizes = [st.mask.shape[0] for st in res.states]
         assert sizes == [16, 12, 12]
-        assert res.survivors.size == 7
+        assert res.ledger.survivors().size == 7
         assert res.tokens.shape == (7, 16)
         assert len(res.ledger.events) == 4 + 5
         layers = [e.layer for e in res.ledger.events]
@@ -271,7 +271,7 @@ class TestForward:
         res = model_forward(img, cfg, w)
         dense = retrieve_dense(res.tokens, res.ledger)
         assert dense.shape == (16, 16)
-        np.testing.assert_array_equal(dense[res.survivors], res.tokens.data)
+        np.testing.assert_array_equal(dense[res.ledger.survivors()], res.tokens.data)
 
     def test_expanded_mask_column_conservation(self):
         cfg = small_config(prune_schedule=((1, 10),))
@@ -295,7 +295,7 @@ class TestForward:
         res = model_forward(img, cfg, w)
         sizes = [st.mask.shape[0] for st in res.states]
         assert sizes == [196, 196, 160, 160, 160, 128, 128, 128, 96, 96, 96, 64]
-        assert res.survivors.size == 64
+        assert res.ledger.survivors().size == 64
 
 
 class TestBlobData:

@@ -350,7 +350,7 @@ class TestRetrieveDense:
         res = model_forward(img, cfg, init_weights(cfg))
         assert len(res.ledger.events) == 44
         ref = np.zeros((64, res.tokens.data.shape[1]), dtype=res.tokens.data.dtype)
-        ref[res.survivors] = res.tokens.data
+        ref[res.ledger.survivors()] = res.tokens.data
         for e in reversed(res.ledger.events):
             acc = np.zeros(ref.shape[1], dtype=np.float64)
             for idx, wgt in e.parents.items():

@@ -12,14 +12,13 @@ from depvit import IntegrityError, UsageError
 from depvit.block import AttentionState
 from depvit.data import blob_dataset
 from depvit.model import ModelConfig, init_weights, model_forward
+from depvit.pruning import argmax_graph, received_mass
 from depvit.tree import (
     DependencyTree,
     aggregate_masks,
-    argmax_graph,
     chu_liu_edmonds,
     induce_tree,
     partition_subtrees,
-    received_mass,
 )
 from oracles import brute_best_arborescence, level_rebuild_arborescence
 
