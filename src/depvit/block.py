@@ -1,12 +1,13 @@
 """The reversed-attention dependency block.
 
-A pre-norm transformer block where information flows child -> parent: the
-row-softmax attention table is transposed before it mixes values, each
-sender's outgoing column is scaled by a per-token head-selection probability
-and by a cumulative message gate, and the per-head tables are summed into a
+A pre-norm transformer block where information flows child -> parent by
+message passing: each token scales its value row by a per-token
+head-selection probability and a cumulative message gate, and sends it
+along its row-softmax attention row.  The sent mass, summed over heads, is a
 soft dependency mask whose column i distributes token i's mass over its
-candidate parents.  No linear layer in the block carries a bias; only the
-layer norms have affine parameters.
+candidate parents; it is read off the attention data, never taped.  No
+linear layer in the block carries a bias; only the layer norms have affine
+parameters.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class AttentionState:
     until pruning shrinks the working set).
     """
 
-    mask: np.ndarray             # (N, N) sum of reversed heads
+    mask: np.ndarray             # (N, N) sent mass, summed over heads
     cumulative_gate: np.ndarray  # (N,) product up through this block
     token_indices: np.ndarray    # (N,) original index of each row/column
 
@@ -142,20 +143,27 @@ def message_controller(x_norm: Tensor, gate_w1: Tensor, gate_w2: Tensor,
 
 def reverse_compose(attn: Tensor, head_probs: Tensor,
                     gate_cum: Tensor) -> tuple[Tensor, Tensor]:
-    """Transpose each head table and scale every column by its sender.
+    """Per-head send weights and the soft dependency mask.
 
-    reversed[h][j][i] = attn[h][i][j] * head_probs[i][h] * gate_cum[i];
-    the mask is the sum of the reversed heads.  Column i then carries how
-    token i splits its outgoing mass over candidate parents j, and no
-    renormalization is applied afterwards.
+    send_rows[h][0][i] = head_probs[i][h] * gate_cum[i] is taped; the mask,
+    mask[j][i] = sum_h attn[h][i][j] * send_rows[h][0][i], is computed from
+    the attention data and returned untaped, since no loss reads it.
+    Column i then carries how token i splits its outgoing mass over
+    candidate parents j, and no renormalization is applied afterwards.
     """
     n = gate_cum.shape[0]
     h = attn.shape[0]
     send = tn.mul(head_probs, tn.reshape(gate_cum, (n, 1)))  # (N, H)
     send_rows = tn.reshape(tn.transpose_last2(send), (h, 1, n))
-    rev = tn.transpose_mul(attn, send_rows)                  # (H, N, N)
-    mask = tn.sum_over_axis(rev, 0)
-    return rev, mask
+    sent_mass = attn.data * send_rows.data.reshape(h, n, 1)  # row i scaled by its sender
+    mask = Tensor(np.ascontiguousarray(sent_mass.sum(axis=0).T))
+    return send_rows, mask
+
+
+def send_messages(attn: Tensor, values: Tensor, send_rows: Tensor) -> Tensor:
+    """head_out[h] = attn[h]^T (send[h] * values[h]), formed as its transpose."""
+    sent = tn.mul(tn.transpose_last2(values), send_rows)  # (H, C/H, N)
+    return tn.transpose_last2(tn.batched_matmul(sent, attn))
 
 
 def block_forward(x: Tensor, weights: BlockWeights, gate_prev: Tensor,
@@ -176,10 +184,10 @@ def block_forward(x: Tensor, weights: BlockWeights, gate_prev: Tensor,
     attn, values = forward_attention(x_norm, weights)
     probs = head_selector(x_norm, weights.w_head, temperature)
     _, gate_cum = message_controller(x_norm, weights.gate_w1, weights.gate_w2, gate_prev)
-    rev, mask = reverse_compose(attn, probs, gate_cum)
-    head_out = tn.batched_matmul(rev, values)
+    send_rows, mask = reverse_compose(attn, probs, gate_cum)
+    head_out = send_messages(attn, values, send_rows)
     state = AttentionState(
-        mask=mask.data,  # nothing else reads it: the sum's backward never does
+        mask=mask.data,
         cumulative_gate=gate_cum.data.copy(),
         token_indices=np.arange(n, dtype=np.int64),
     )

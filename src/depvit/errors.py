@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 Every failure mode maps to one of these so callers (and the CLI) can
-distinguish bad usage from bad data from numeric blow-ups.
+distinguish bad usage from bad data from numeric blow-ups.  The JSON
+readers also share ``whole_numbers``, their one check for integer fields.
 """
+
+import numbers
 
 
 class DepvitError(Exception):
@@ -41,3 +44,16 @@ class FormatError(DepvitError):
 
 class TrainingError(DepvitError):
     """Training diverged (non-finite loss) or could not proceed."""
+
+
+def whole_numbers(*values) -> list[int]:
+    """Each value as an int; a bool, a string or a fraction raises ValueError.
+
+    A whole float such as 2.0 passes.  Each JSON reader turns the
+    ValueError into its own error type.
+    """
+    for v in values:
+        if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or
+                                       isinstance(v, numbers.Real) and float(v).is_integer()):
+            raise ValueError(f"expected whole numbers, got {v!r}")
+    return [int(v) for v in values]

@@ -19,7 +19,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, UsageError
+from .errors import ConfigError, FormatError, UsageError, whole_numbers
 from .model import ModelConfig, ModelWeights, parameter_shapes
 from .tensor import Tensor
 from .tree import DependencyTree
@@ -349,11 +349,12 @@ def tree_from_json_dict(d: dict) -> DependencyTree:
     """Inverse of tree_to_json_dict; node ids must be exactly 0..n-1."""
     try:
         nodes = d["nodes"]
-        root = int(d["root"])
-        ids = [int(node["id"]) for node in nodes]
-        parent = np.array([int(node["parent"]) for node in nodes], dtype=np.int64)
+        root = whole_numbers(d["root"])[0]
+        ids = whole_numbers(*(node["id"] for node in nodes))
+        parent = np.array(whole_numbers(*(node["parent"] for node in nodes)), dtype=np.int64)
         weight = np.array([float(node["weight"]) for node in nodes], dtype=np.float64)
-        subtree = np.array([int(node.get("subtree", -1)) for node in nodes], dtype=np.int64)
+        subtree = np.array(whole_numbers(*(node.get("subtree", -1) for node in nodes)),
+                           dtype=np.int64)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed tree JSON: {exc}", offset=0) from exc
     n = len(ids)
@@ -402,11 +403,8 @@ def load_grid_values(path) -> np.ndarray:
     try:
         d = json.loads(Path(path).read_text())
         arr = np.asarray(d["labels"], dtype=np.float64)
-        size = (d["height"], d["width"])
-        if any(int(v) != float(v) for v in size):
-            raise FormatError(f"grid height and width must be whole numbers, got {size}",
-                              offset=0)
-        if arr.shape != tuple(map(int, size)):
+        size = tuple(whole_numbers(d["height"], d["width"]))
+        if arr.shape != size:
             raise FormatError("grid labels disagree with declared size", offset=0)
         if arr.size == 0:
             raise FormatError("grid width and height must be positive", offset=0)

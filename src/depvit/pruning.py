@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .block import AttentionState
-from .errors import IntegrityError, UsageError
+from .errors import IntegrityError, UsageError, whole_numbers
 from .tensor import Tensor
 
 
@@ -102,11 +102,10 @@ class PruneLedger:
     def from_json_dict(cls, payload: dict) -> "PruneLedger":
         try:
             ledger = cls(
-                n_tokens=int(payload["n_tokens"]),
+                n_tokens=whole_numbers(payload["n_tokens"])[0],
                 events=[
                     PruneEvent(
-                        layer=int(e["layer"]),
-                        token=int(e["token"]),
+                        *whole_numbers(e["layer"], e["token"]),
                         gate=float(e["gate"]),
                         parents={int(k): float(v) for k, v in e["parents"].items()},
                     )

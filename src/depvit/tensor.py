@@ -14,9 +14,10 @@ an allocation, and never write into an input array.
 A tape record keeps the serial numbers of its output and inputs, not the
 tensors, and a backward closure captures only the arrays its formula reads
 (shapes and indices for the layout kernels, ``add``, ``scale`` and the
-sums), so an activation nothing reads is freed with its tensor.
-``transpose_mul`` fuses ``transpose_last2`` into ``mul``, so its record
-keeps its first operand's own array, not a transposed copy.
+sums), so an activation nothing reads is freed with its tensor.  The
+dependency block's reversed attention is plain ``mul`` and
+``batched_matmul`` over the attention stack, so the one (H, N, N) array
+its records keep is the stack that ``softmax_rows``' record already holds.
 Tape.gradients drops an intermediate's gradient as soon as the record that
 produced it has run.
 """
@@ -276,31 +277,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record("mul", out_data, (a, b), backward)
-
-
-def _swapped_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.multiply(np.swapaxes(a, -1, -2), b, order="C")
-
-
-def transpose_mul(a: Tensor, b: Tensor) -> Tensor:
-    """``mul(transpose_last2(a), b)`` without the transposed copy of ``a``.
-
-    The product reads ``a`` through a swapped view and is written C-order,
-    and the record keeps ``a``'s own array; every product is the one the
-    composition forms, so the output and both gradients match it bit for bit.
-    """
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose_mul needs ndim >= 2, got {a.shape}")
-    out_data = _broadcast("transpose_mul", _swapped_product, a, b)
-    ad, bd = _operands(a, b)
-    sa, sb = np.swapaxes(a.data, -1, -2).shape, b.shape
-
-    def backward(g):
-        ga = np.swapaxes(_unbroadcast(g * bd, sa), -1, -2) if bd is not None else None
-        gb = _unbroadcast(_swapped_product(ad, g), sb) if ad is not None else None
-        return ga, gb
-
-    return _record("transpose_mul", out_data, (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:

@@ -251,22 +251,14 @@ def layer_norm_kernel(x, gain, bias, g, eps=1e-6):
     return y, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
-def _unbroadcast(grad, shape):
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    return grad.sum(axis=axes, keepdims=True) if axes else grad
-
-
-def transpose_mul_kernel(a, b, g):
-    """``mul(transpose_last2(a), b)`` as two taped kernels compute it: a
-    C-order transposed copy of ``a``, the broadcast product, then each
-    kernel's backward in turn."""
-    at = np.swapaxes(a, -1, -2).copy()
-    y = at * b
-    ga = np.swapaxes(_unbroadcast(g * b, at.shape), -1, -2).copy()
-    return y, ga, _unbroadcast(g * at, b.shape)
+def reversed_mask(attn, send):
+    """Soft dependency mask of an (H, N, N) attention stack and (H, N) send
+    weights: the sum over heads, in head order, of ``attn[h]ᵀ`` with column
+    i scaled by ``send[h][i]``, one fresh array per step."""
+    mask = attn[0].T * send[0]
+    for h in range(1, attn.shape[0]):
+        mask = mask + attn[h].T * send[h]
+    return mask
 
 
 def replay_tape(records, loss, wrt):

@@ -23,8 +23,9 @@ from depvit.block import (
     pool_tokens,
     reverse_compose,
     forward_attention,
+    send_messages,
 )
-from oracles import explicit_block_init, replay_tape
+from oracles import explicit_block_init, replay_tape, reversed_mask
 
 
 def np_softmax(z, axis=-1):
@@ -94,15 +95,37 @@ class TestBlockWeights:
 
 class TestReverseComposition:
     def test_two_token_hand_case(self):
-        # A_F = [[.7,.3],[.4,.6]], single head with prob 1, gates [.5, 2]:
-        # reversed[j][i] = A_F[i][j] * gate[i], worked out by hand below.
+        # A_F = [[.7,.3],[.4,.6]], single head with prob 1, gates [.5, 2],
+        # values [[1, 2], [3, -1]].  Worked out by hand below:
+        # reversed[j][i] = A_F[i][j] * gate[i] = [[.35, .8], [.15, 1.2]], and
+        # reversed @ values = [[.35 + 2.4, .7 - .8], [.15 + 3.6, .3 - 1.2]].
         a = tn.tensor([[[0.7, 0.3], [0.4, 0.6]]], dtype=np.float64)
         p = tn.tensor([[1.0], [1.0]], dtype=np.float64)
         m = tn.tensor([0.5, 2.0], dtype=np.float64)
-        rev, mask = reverse_compose(a, p, m)
-        expected = [[0.35, 0.8], [0.15, 1.2]]
-        np.testing.assert_allclose(rev.data[0], expected, rtol=1e-12)
-        np.testing.assert_allclose(mask.data, expected, rtol=1e-12)
+        v = tn.tensor([[[1.0, 2.0], [3.0, -1.0]]], dtype=np.float64)
+        send_rows, mask = reverse_compose(a, p, m)
+        np.testing.assert_array_equal(send_rows.data, [[[0.5, 2.0]]])
+        np.testing.assert_allclose(mask.data, [[0.35, 0.8], [0.15, 1.2]], rtol=1e-12)
+        np.testing.assert_allclose(send_messages(a, v, send_rows).data,
+                                   [[[2.75, -0.1], [3.75, -0.9]]], rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads, n", [(1, 1), (1, 5), (4, 1), (4, 6), (3, 7)])
+    def test_mask_is_byte_equal_to_the_head_sum_oracle(self, dtype, heads, n):
+        rng = np.random.default_rng(heads * 10 + n)
+        attn = rng.uniform(0.0, 1.0, size=(heads, n, n)).astype(dtype)
+        probs = rng.uniform(0.0, 1.0, size=(n, heads)).astype(dtype)
+        gate = rng.uniform(0.0, 1.0, size=n).astype(dtype)
+        send = (probs * gate[:, None]).T
+        with tn.Tape():
+            send_rows, mask = reverse_compose(*(tn.Tensor(a, requires_grad=True)
+                                                for a in (attn, probs, gate)))
+        assert send_rows.requires_grad and not mask.requires_grad  # no loss reads the mask
+        assert send_rows.data.tobytes() == send.tobytes()
+        want = reversed_mask(attn, send)
+        assert mask.data.dtype == want.dtype and mask.data.shape == want.shape
+        assert mask.data.flags.c_contiguous
+        assert mask.data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_columns_sum_to_gate(self, seed):
@@ -163,6 +186,20 @@ class TestBlockForward:
         gate, _ = message_controller(xn, bw.gate_w1, bw.gate_w2, gp)
         np.testing.assert_allclose(probs.data, ex_probs, rtol=1e-10)
         np.testing.assert_allclose(gate.data, ex_gate, rtol=1e-12)
+
+    def test_tape_keeps_no_attention_sized_array_but_the_stack(self):
+        # Every (H, N, N) array a record's backward holds is the one
+        # attention stack that softmax produced; reversed attention adds none.
+        rng = np.random.default_rng(9)
+        bw, _ = make_block(rng)  # C = 16, H = 4, so C/H = 4 != N
+        x = tn.tensor(rng.normal(size=(6, 16)), dtype=np.float64)
+        with tn.Tape() as tape:
+            block_forward(x, bw, tn.tensor(np.ones(6), dtype=np.float64))
+        held = {id(cell.cell_contents) for rec in tape._records
+                for cell in rec.backward.__closure__ or ()
+                if isinstance(cell.cell_contents, np.ndarray)
+                and cell.cell_contents.shape == (4, 6, 6)}
+        assert len(held) == 1
 
     def test_gate_never_increases(self):
         rng = np.random.default_rng(5)

@@ -436,6 +436,13 @@ class TestUsage:
         assert run(["eval-parts", "--pred", str(p), "--gt", str(p)]) == 2
         assert "whole numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("height", ["true", '"2"'])
+    def test_non_integer_grid_size_is_usage_error(self, tmp_path, capsys, height):
+        p = tmp_path / "g.json"
+        p.write_text('{"width": 2, "height": %s, "labels": [[0, 1], [1, 0]]}' % height)
+        assert run(["eval-parts", "--pred", str(p), "--gt", str(p)]) == 2
+        assert "whole numbers" in capsys.readouterr().err
+
     def test_layer_is_checked_before_the_weights_load(self, workdir, tmp_path, capsys):
         d, cfg, _, image = workdir
         junk = tmp_path / "junk.dvtn"

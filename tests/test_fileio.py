@@ -541,6 +541,32 @@ class TestTreeJson:
         with pytest.raises(FormatError):
             tree_from_json_dict(d)
 
+    @pytest.mark.parametrize("field, index, value", [
+        ("root", None, 1.5), ("root", None, True), ("root", None, "1"),
+        ("id", 1, True), ("id", 1, 1.5), ("id", 1, "1"),
+        ("parent", 0, 1.5), ("parent", 0, "1"), ("parent", 2, True),
+        ("subtree", 0, 0.5), ("subtree", 0, "0"), ("subtree", 0, False),
+    ])
+    def test_ids_root_parents_and_subtrees_must_be_whole_numbers(self, field, index, value):
+        # int() would take each of these: 1.5 and True as 1, "1" as 1
+        d = tree_to_json_dict(self.tree())
+        if index is None:
+            d[field] = value
+        else:
+            d["nodes"][index][field] = value
+        with pytest.raises(FormatError, match="whole numbers"):
+            tree_from_json_dict(d)
+
+    def test_whole_floats_load_as_ints(self):
+        d = tree_to_json_dict(self.tree())
+        d["root"] = 1.0
+        for node in d["nodes"]:
+            node.update(id=float(node["id"]), parent=float(node["parent"]),
+                        subtree=float(node["subtree"]))
+        back = tree_from_json_dict(d)
+        np.testing.assert_array_equal(back.parent, self.tree().parent)
+        assert back.root == 1 and type(back.root) is int
+
     def test_nodes_may_come_in_any_order(self):
         d = tree_to_json_dict(self.tree())
         d["nodes"].reverse()
@@ -585,7 +611,7 @@ class TestGridAndMaskJson:
         with pytest.raises(FormatError):
             load_grid_values(p)
 
-    @pytest.mark.parametrize("width, height", [(2, 2.9), (2.5, 2)])
+    @pytest.mark.parametrize("width, height", [(2, 2.9), (2.5, 2), (True, 2), ("2", 2)])
     def test_fractional_grid_size_rejected(self, tmp_path, width, height):
         p = tmp_path / "g.json"
         write_json(p, {"width": width, "height": height, "labels": [[0, 1], [1, 0]]})

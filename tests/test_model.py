@@ -396,9 +396,9 @@ class TestTraining:
         # every intermediate gradient until the end peaked at 15.2 MB above
         # the entry level; freeing each one once consumed gives about 0.6 MB.
         # The bound is a quarter of the first figure.  The forward leaves
-        # 12.24 MB on the tape (14.35 MB while the reversed stack was built
-        # from a transposed copy of each attention table, one more record
-        # per block and image); that bound is the first figure plus 5%.
+        # 10.42 MB on the tape in 1171 records, with no (H, N, N) array per
+        # block and image besides its attention stack; that bound is the
+        # figure plus 5%.
         cfg = small_config(image_size=128, channels=32, heads=4, layers=4, num_classes=2)
         weights = init_weights(cfg)
         params = list(weights.named_tensors().values())
@@ -414,8 +414,8 @@ class TestTraining:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(tape) == 1139
-        assert before - start < 12.24e6 * 1.05
+        assert len(tape) == 1171
+        assert before - start < 10.42e6 * 1.05
         assert peak - before < 15.2e6 / 4
 
     def test_float32_scenes_train_as_float64_ones_did(self):

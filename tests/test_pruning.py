@@ -151,6 +151,27 @@ class TestLedgerValidation:
         with pytest.raises(IntegrityError):
             PruneLedger.from_json_dict(payload)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_tokens", True), ("n_tokens", 3.5), ("n_tokens", "3"),
+        ("layer", 1.5), ("layer", True), ("layer", "1"),
+        ("token", 0.5), ("token", False), ("token", "0"),
+    ])
+    def test_from_json_rejects_counts_that_are_not_whole_numbers(self, field, value):
+        # int() would take each of these: 3.5 as 3, True as 1, "3" as 3
+        payload = {"n_tokens": 3,
+                   "events": [{"layer": 1, "token": 0, "gate": 0.5, "parents": {"1": 1.0}}]}
+        (payload if field == "n_tokens" else payload["events"][0])[field] = value
+        with pytest.raises(IntegrityError, match="whole numbers"):
+            PruneLedger.from_json_dict(payload)
+
+    def test_from_json_takes_whole_floats(self):
+        payload = {"n_tokens": 3.0,
+                   "events": [{"layer": 1.0, "token": 2.0, "gate": 0.5, "parents": {"1": 1.0}}]}
+        led = PruneLedger.from_json_dict(payload)
+        event = led.events[0]
+        assert (led.n_tokens, event.layer, event.token) == (3, 1, 2)
+        assert all(type(v) is int for v in (led.n_tokens, event.layer, event.token))
+
     def test_validation_does_not_enumerate_tokens(self):
         # a set of every token id would not fit in memory at this count, so
         # validation has to work from the events alone

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from depvit import NumericError, ShapeError, UsageError
 from depvit import tensor as T
 from oracles import (gelu_kernel, layer_norm_kernel, replay_tape, sigmoid_kernel,
-                     softmax_rows_kernel, transpose_mul_kernel)
+                     softmax_rows_kernel)
 
 
 def randu(rng, shape, lo=-1.0, hi=1.0):
@@ -254,38 +254,6 @@ class TestKernelExactness:
                 assert got.tobytes() == want.tobytes()
             assert [a.tobytes() for a in arrays + [g]] == before
             assert not any(np.shares_memory(out.data, a) for a in arrays)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("heads, rows, cols", [(1, 1, 1), (1, 5, 5), (4, 1, 1),
-                                                   (4, 5, 5), (3, 4, 6)])
-    @pytest.mark.parametrize("b_shape", ["middle", "full", "last"])
-    def test_transpose_mul_matches_the_composition(self, dtype, heads, rows, cols, b_shape):
-        # a is (H, R, C); the product is (H, C, R).  The block's use is the
-        # "middle" case: one sender weight per column, broadcast down it.
-        rng = np.random.default_rng(heads * 100 + rows * 10 + cols)
-        a = rng.standard_normal((heads, rows, cols)).astype(dtype)
-        b = rng.standard_normal({"middle": (heads, 1, rows), "full": (heads, cols, rows),
-                                 "last": (rows,)}[b_shape]).astype(dtype)
-        g = rng.standard_normal((heads, cols, rows)).astype(dtype)
-        before = [x.tobytes() for x in (a, b, g)]
-        inputs = [T.Tensor(x, requires_grad=True) for x in (a, b)]  # no copy
-        with T.Tape() as tape:
-            out = T.transpose_mul(*inputs)
-        grads = tape._records[-1].backward(g)
-        for got, want in zip((out.data, *grads), transpose_mul_kernel(a, b, g)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        assert out.data.flags.c_contiguous
-        assert [x.tobytes() for x in (a, b, g)] == before
-
-    def test_transpose_mul_errors(self):
-        with pytest.raises(ShapeError):
-            T.transpose_mul(T.Tensor(np.ones(3)), T.Tensor(np.ones(3)))
-        with pytest.raises(ShapeError, match="do not broadcast"):
-            T.transpose_mul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
-        with pytest.raises(ShapeError, match="mixed dtypes"):
-            T.transpose_mul(T.Tensor(np.ones((2, 3))),
-                            T.Tensor(np.ones(2, dtype=np.float32)))
 
     @pytest.mark.parametrize("idx", [[2, 0, 2], [0, 1, 2, 3]])
     def test_gather_rows_output_owns_its_data(self, idx):
@@ -614,7 +582,6 @@ KERNEL_CALLS = {
     "batched_matmul": (T.batched_matmul, [_u(2, 2, 3), _u(2, 3, 2)]),
     "add": (T.add, [_u(2, 3), _u(3)]),
     "mul": (T.mul, [_u(2, 3), _u(2, 1)]),
-    "transpose_mul": (T.transpose_mul, [_u(1, 2, 3), _u(1, 1, 2)]),
     "div": (T.div, [_u(2, 3), _u(2, 3)]),
     "scale": (lambda a: T.scale(a, 2.0), [_u(2, 3)]),
     "reshape": (lambda a: T.reshape(a, (3, 2)), [_u(2, 3)]),
@@ -639,7 +606,6 @@ KERNEL_CALLS = {
 # gradient: the input positions and "out" whose arrays the backward reads.
 KEPT_ARRAYS = {
     "matmul": {0, 1}, "batched_matmul": {0, 1}, "mul": {0, 1}, "div": {0, 1},
-    "transpose_mul": {0, 1},  # 0 is the table itself, never a transposed copy
     "softmax_rows": {"out"}, "sigmoid": {"out"}, "gelu": {0},
     "layer_norm": {1},  # x-hat and 1/sigma are its own arrays; 1 is the gain
     "sum_squares": {0}, "cross_entropy": {0}, "weighted_mean_rows": {0, 1, "out"},
