@@ -21,7 +21,7 @@ from . import tensor as tn
 from .errors import ShapeError, UsageError
 from .tensor import Tensor
 
-SELECTOR_TEMPERATURE = 0.1  # head-selector softmax temperature, the model default
+SELECTOR_TEMPERATURE = 0.1  # head-selector softmax temperature
 
 
 @dataclass
@@ -116,14 +116,14 @@ def forward_attention(x_norm: Tensor, weights: BlockWeights) -> tuple[Tensor, Te
     q = tn.split_heads(tn.matmul(x_norm, weights.w_q), h)
     k = tn.split_heads(tn.matmul(x_norm, weights.w_k), h)
     v = tn.split_heads(tn.matmul(x_norm, weights.w_v), h)
-    logits = tn.batched_matmul(q, tn.transpose_last2(k))
+    logits = tn.matmul(q, tn.transpose_last2(k))
     tables = tn.softmax_rows(logits, temperature=math.sqrt(ch))
     return tables, v
 
 
-def head_selector(x_norm: Tensor, w_head: Tensor, temperature: float) -> Tensor:
-    """Per-token soft routing over heads: softmax(x W / temperature), (N, H)."""
-    return tn.softmax_rows(tn.matmul(x_norm, w_head), temperature=temperature)
+def head_selector(x_norm: Tensor, w_head: Tensor) -> Tensor:
+    """Per-token soft routing over heads: softmax(x W / SELECTOR_TEMPERATURE), (N, H)."""
+    return tn.softmax_rows(tn.matmul(x_norm, w_head), temperature=SELECTOR_TEMPERATURE)
 
 
 def message_controller(x_norm: Tensor, gate_w1: Tensor, gate_w2: Tensor,
@@ -163,12 +163,11 @@ def reverse_compose(attn: Tensor, head_probs: Tensor,
 def send_messages(attn: Tensor, values: Tensor, send_rows: Tensor) -> Tensor:
     """head_out[h] = attn[h]^T (send[h] * values[h]), formed as its transpose."""
     sent = tn.mul(tn.transpose_last2(values), send_rows)  # (H, C/H, N)
-    return tn.transpose_last2(tn.batched_matmul(sent, attn))
+    return tn.transpose_last2(tn.matmul(sent, attn))
 
 
-def block_forward(x: Tensor, weights: BlockWeights, gate_prev: Tensor,
-                  temperature: float = SELECTOR_TEMPERATURE
-                  ) -> tuple[Tensor, Tensor, AttentionState]:
+def block_forward(x: Tensor, weights: BlockWeights,
+                  gate_prev: Tensor) -> tuple[Tensor, Tensor, AttentionState]:
     """One pre-norm block pass over (N, C) tokens, child sending to parent.
 
     Returns the updated tokens, the cumulative gate after this block, and a
@@ -182,7 +181,7 @@ def block_forward(x: Tensor, weights: BlockWeights, gate_prev: Tensor,
 
     x_norm = tn.layer_norm(x, weights.ln1_gain, weights.ln1_bias)
     attn, values = forward_attention(x_norm, weights)
-    probs = head_selector(x_norm, weights.w_head, temperature)
+    probs = head_selector(x_norm, weights.w_head)
     _, gate_cum = message_controller(x_norm, weights.gate_w1, weights.gate_w2, gate_prev)
     send_rows, mask = reverse_compose(attn, probs, gate_cum)
     head_out = send_messages(attn, values, send_rows)
@@ -208,8 +207,7 @@ def pool_tokens(tokens: Tensor, gates: Tensor) -> Tensor:
     return tn.reshape(tn.weighted_mean_rows(tokens, gates), (1, tokens.shape[1]))
 
 
-def block_probe_loss(inputs: list[Tensor], weights_template: BlockWeights,
-                     temperature: float = SELECTOR_TEMPERATURE) -> Tensor:
+def block_probe_loss(inputs: list[Tensor], weights_template: BlockWeights) -> Tensor:
     """Scalar probe for gradient checking the whole block.
 
     ``inputs`` is [x, gate_prev, *weight tensors in named_tensors order];
@@ -222,6 +220,6 @@ def block_probe_loss(inputs: list[Tensor], weights_template: BlockWeights,
     x, gate_prev = inputs[0], inputs[1]
     wmap = dict(zip(names, inputs[2:]))
     w = BlockWeights(heads=weights_template.heads, **wmap)
-    x_out, gate_cum, _ = block_forward(x, w, gate_prev, temperature=temperature)
+    x_out, gate_cum, _ = block_forward(x, w, gate_prev)
     pooled = pool_tokens(x_out, gate_cum)
     return tn.sum_squares(pooled)

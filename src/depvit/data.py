@@ -84,17 +84,16 @@ def _check_geometry(image: np.ndarray, labels: np.ndarray, patch: int) -> None:
 
 
 def blob_scene(k: int, rng: np.random.Generator, grid: int = 8,
-               patch: int = 16, min_cells: int | None = None) -> BlobSample:
+               patch: int = 16) -> BlobSample:
     """One k-blob scene over a grid x grid patch layout.
 
-    Regions are contiguous, each at least ``min_cells`` patches (default:
-    an eighth of the grid per region).  Region r lights color channel
-    r mod 3; at most three regions keep the colors orthogonal.
+    Regions are contiguous, each at least an eighth of the grid per region
+    (and at least two patches).  Region r lights color channel r mod 3; at
+    most three regions keep the colors orthogonal.
     """
     if not 1 <= k <= 3:
         raise UsageError(f"k must be in 1..3 for orthogonal colors, got {k}")
-    if min_cells is None:
-        min_cells = max(2, (grid * grid) // (8 * k))
+    min_cells = max(2, (grid * grid) // (8 * k))
     for _ in range(200):
         labels = _grow_regions(grid, k, rng)
         sizes = np.bincount(labels.reshape(-1), minlength=k)

@@ -2,7 +2,8 @@
 
 Every failure mode maps to one of these so callers (and the CLI) can
 distinguish bad usage from bad data from numeric blow-ups.  The JSON
-readers also share ``whole_numbers``, their one check for integer fields.
+readers also share ``whole_numbers`` and ``real_numbers``, their checks for
+integer and real fields.
 """
 
 import numbers
@@ -57,3 +58,14 @@ def whole_numbers(*values) -> list[int]:
                                        isinstance(v, numbers.Real) and float(v).is_integer()):
             raise ValueError(f"expected whole numbers, got {v!r}")
     return [int(v) for v in values]
+
+
+def real_numbers(*values) -> list[float]:
+    """Each value as a float; a bool or a string raises ValueError.
+
+    NaN and the infinities pass; each reader checks the range it needs.
+    """
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"expected real numbers, got {v!r}")
+    return [float(v) for v in values]

@@ -22,25 +22,26 @@ from .errors import NumericError, ShapeError, UsageError
 class LabelGrid:
     """Integer labels on a height x width patch grid; -1 marks ignore."""
 
-    width: int
-    height: int
     labels: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.labels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.labels.shape[0]
 
     @classmethod
     def from_labels(cls, labels: np.ndarray) -> "LabelGrid":
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 2:
             raise ShapeError("label grid must be 2-D")
-        g = cls(width=labels.shape[1], height=labels.shape[0], labels=labels)
+        g = cls(labels=labels)
         g.validate()
         return g
 
     def validate(self) -> None:
-        if self.labels.shape != (self.height, self.width):
-            raise ShapeError(
-                f"labels shaped {self.labels.shape}, grid says "
-                f"({self.height}, {self.width})"
-            )
         if self.labels.size == 0:
             raise ShapeError("label grid has no cells")
         vals = np.unique(self.labels)
@@ -129,7 +130,7 @@ def hungarian_match(scores: np.ndarray) -> list[tuple[int, int]]:
 def part_metrics(pred: LabelGrid, gt: LabelGrid) -> MetricReport:
     """Match parts by IoU, then average IoU and per-part accuracy over
     the reference parts; unmatched reference parts score zero."""
-    if (pred.height, pred.width) != (gt.height, gt.width):
+    if pred.labels.shape != gt.labels.shape:
         raise ShapeError("prediction and reference grids differ in size")
     pv = pred.labels.ravel()
     gv = gt.labels.ravel()

@@ -19,7 +19,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, UsageError, whole_numbers
+from .errors import ConfigError, FormatError, UsageError, real_numbers, whole_numbers
 from .model import ModelConfig, ModelWeights, parameter_shapes
 from .tensor import Tensor
 from .tree import DependencyTree
@@ -352,7 +352,7 @@ def tree_from_json_dict(d: dict) -> DependencyTree:
         root = whole_numbers(d["root"])[0]
         ids = whole_numbers(*(node["id"] for node in nodes))
         parent = np.array(whole_numbers(*(node["parent"] for node in nodes)), dtype=np.int64)
-        weight = np.array([float(node["weight"]) for node in nodes], dtype=np.float64)
+        weight = np.array(real_numbers(*(node["weight"] for node in nodes)), dtype=np.float64)
         subtree = np.array(whole_numbers(*(node.get("subtree", -1) for node in nodes)),
                            dtype=np.int64)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -364,6 +364,8 @@ def tree_from_json_dict(d: dict) -> DependencyTree:
         raise FormatError(f"tree root {root} outside 0..{n - 1}", offset=0)
     if ((parent < -1) | (parent >= n)).any():
         raise FormatError("tree parent index out of range", offset=0)
+    if not np.isfinite(weight).all():
+        raise FormatError("tree edge weights must be finite", offset=0)
     order = np.argsort(ids)
     tree = DependencyTree(parent=parent[order], edge_weight=weight[order], root=root,
                           subtree=subtree[order])
@@ -399,7 +401,8 @@ def grid_to_json_dict(grid) -> dict:
 
 
 def load_grid_values(path) -> np.ndarray:
-    """Grid JSON to a raw value array; labels may be soft for saliency."""
+    """Grid JSON to a raw value array of JSON numbers; labels may be soft
+    for saliency."""
     try:
         d = json.loads(Path(path).read_text())
         arr = np.asarray(d["labels"], dtype=np.float64)
@@ -408,6 +411,7 @@ def load_grid_values(path) -> np.ndarray:
             raise FormatError("grid labels disagree with declared size", offset=0)
         if arr.size == 0:
             raise FormatError("grid width and height must be positive", offset=0)
+        real_numbers(*(v for row in d["labels"] for v in row))  # asarray took "1" and true
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

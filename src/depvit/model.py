@@ -14,7 +14,6 @@ import numpy as np
 
 from . import tensor as tn
 from .block import (
-    SELECTOR_TEMPERATURE,
     AttentionState,
     BlockWeights,
     block_forward,
@@ -37,7 +36,6 @@ class ModelConfig:
     channels: int = 192
     heads: int = 12
     layers: int = 12
-    temperature: float = SELECTOR_TEMPERATURE
     prune_schedule: tuple[tuple[int, int], ...] = ()
     num_classes: int = 1000
     seed: int = 0
@@ -57,8 +55,6 @@ class ModelConfig:
             raise ConfigError("channels must be even")
         if self.layers < 0:
             raise ConfigError("layers must be non-negative")
-        if not 0 < self.temperature < np.inf:  # NaN fails both comparisons
-            raise ConfigError("temperature must be positive and finite")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
         if self.seed < 0:
@@ -194,21 +190,18 @@ class ForwardResult:
 def model_forward(inputs, config: ModelConfig, weights: ModelWeights) -> ForwardResult:
     """Run the block stack over an image or a pre-embedded token matrix.
 
-    A 3-D array is treated as an image and embedded; a 2-D Tensor or array
-    of shape (N, C) is used as tokens directly (no positions re-applied).
-    The prune schedule shrinks the working set right after each listed
-    block; states keep the original indices they cover.
+    A 3-D array is treated as an image and embedded; a 2-D array of shape
+    (N, C) is used as tokens directly (no positions re-applied).  The prune
+    schedule shrinks the working set right after each listed block; states
+    keep the original indices they cover.
     """
-    if isinstance(inputs, Tensor):
-        x = inputs
+    arr = np.asarray(inputs)
+    if arr.ndim == 3:
+        x = patch_embed(arr, config, weights)
+    elif arr.ndim == 2:
+        x = tn.tensor(arr, dtype=weights.patch_proj.dtype)
     else:
-        arr = np.asarray(inputs)
-        if arr.ndim == 3:
-            x = patch_embed(arr, config, weights)
-        elif arr.ndim == 2:
-            x = tn.tensor(arr, dtype=weights.patch_proj.dtype)
-        else:
-            raise ShapeError(f"inputs must be (H, W, 3) or (N, C), got {arr.shape}")
+        raise ShapeError(f"inputs must be (H, W, 3) or (N, C), got {arr.shape}")
     if x.shape != (config.tokens, config.channels):
         raise ShapeError(
             f"token matrix {x.shape} does not match config ({config.tokens}, {config.channels})"
@@ -223,9 +216,7 @@ def model_forward(inputs, config: ModelConfig, weights: ModelWeights) -> Forward
     states: list[AttentionState] = []
 
     for layer in range(1, config.layers + 1):
-        x, gate, state = block_forward(
-            x, weights.blocks[layer - 1], gate, temperature=config.temperature
-        )
+        x, gate, state = block_forward(x, weights.blocks[layer - 1], gate)
         state.token_indices = survivors.copy()
         states.append(state)
         kept = schedule.get(layer)

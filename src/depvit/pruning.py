@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .block import AttentionState
-from .errors import IntegrityError, UsageError, whole_numbers
+from .errors import IntegrityError, UsageError, real_numbers, whole_numbers
 from .tensor import Tensor
 
 
@@ -106,8 +106,9 @@ class PruneLedger:
                 events=[
                     PruneEvent(
                         *whole_numbers(e["layer"], e["token"]),
-                        gate=float(e["gate"]),
-                        parents={int(k): float(v) for k, v in e["parents"].items()},
+                        gate=real_numbers(e["gate"])[0],
+                        parents=dict(zip(map(int, e["parents"]),
+                                         real_numbers(*e["parents"].values()))),
                     )
                     for e in payload["events"]
                 ],

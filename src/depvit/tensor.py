@@ -15,9 +15,9 @@ A tape record keeps the serial numbers of its output and inputs, not the
 tensors, and a backward closure captures only the arrays its formula reads
 (shapes and indices for the layout kernels, ``add``, ``scale`` and the
 sums), so an activation nothing reads is freed with its tensor.  The
-dependency block's reversed attention is plain ``mul`` and
-``batched_matmul`` over the attention stack, so the one (H, N, N) array
-its records keep is the stack that ``softmax_rows``' record already holds.
+dependency block's reversed attention is plain ``mul`` and ``matmul``
+over the attention stack, so the one (H, N, N) array its records keep is
+the stack that ``softmax_rows``' record already holds.
 Tape.gradients drops an intermediate's gradient as soon as the record that
 produced it has run.
 """
@@ -233,10 +233,16 @@ def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes; the leading axes must match.
+
+    Operands have rank 2 or more; a 2-D product is the case with no
+    leading axes.
+    """
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul expects ndim >= 2, got {a.shape} @ {b.shape}")
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul leading dims differ: {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     if a.data.dtype is not b.data.dtype:
         _same_dtype("matmul", a, b)
@@ -244,8 +250,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = _operands(a, b)
 
     def backward(g):
-        ga = g @ bd.T if bd is not None else None
-        gb = ad.T @ g if ad is not None else None
+        ga = g @ np.swapaxes(bd, -1, -2) if bd is not None else None
+        gb = np.swapaxes(ad, -1, -2) @ g if ad is not None else None
         return ga, gb
 
     return _record("matmul", out_data, (a, b), backward)
@@ -437,24 +443,8 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
 
 
 def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes must match."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"batched_matmul expects ndim >= 2, got {a.shape} @ {b.shape}")
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"batched_matmul batch dims differ: {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"batched_matmul inner dims differ: {a.shape} @ {b.shape}")
-    if a.data.dtype is not b.data.dtype:
-        _same_dtype("batched_matmul", a, b)
-    out_data = a.data @ b.data
-    ad, bd = _operands(a, b)
-
-    def backward(g):
-        ga = g @ np.swapaxes(bd, -1, -2) if bd is not None else None
-        gb = np.swapaxes(ad, -1, -2) @ g if ad is not None else None
-        return ga, gb
-
-    return _record("batched_matmul", out_data, (a, b), backward)
+    """``matmul``; kept only because the benchmark's tracer wraps this name."""
+    return matmul(a, b)
 
 
 def split_heads(a: Tensor, heads: int) -> Tensor:
@@ -627,14 +617,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _record("cross_entropy", out_data, (logits,), backward)
 
 
-def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal samples clipped to two sigmas by resampling, then scaled by std."""
+def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal samples clipped to two sigmas by resampling, then scaled by 0.02."""
     x = rng.standard_normal(shape)
     bad = np.abs(x) > 2.0
     while bad.any():
         x[bad] = rng.standard_normal(int(bad.sum()))
         bad = np.abs(x) > 2.0
-    return x * std
+    return x * 0.02
 
 
 @dataclass
@@ -654,18 +644,16 @@ class GradCheckReport:
 def grad_check(
     fn: Callable[[Sequence[Tensor]], Tensor],
     inputs: Sequence[Tensor],
-    step: float = 1e-5,
     tolerance: float = 1e-4,
 ) -> GradCheckReport:
     """Compare tape gradients of scalar ``fn(inputs)`` to central differences.
 
-    All inputs must be float64; the finite-difference step must lie in
-    [1e-6, 1e-4] and the tolerance must be positive and finite.  The error
-    for one input is ||g - fd||_2 / max(||g||_2 + ||fd||_2, 1e-12) and the
-    report carries the maximum over inputs.
+    All inputs must be float64, the finite-difference step is 1e-5 and the
+    tolerance must be positive and finite.  The error for one input is
+    ||g - fd||_2 / max(||g||_2 + ||fd||_2, 1e-12) and the report carries
+    the maximum over inputs.
     """
-    if not (1e-6 <= step <= 1e-4):
-        raise UsageError(f"finite-difference step {step} outside [1e-6, 1e-4]")
+    step = 1e-5
     if not 0 < tolerance < math.inf:  # NaN fails both comparisons
         raise UsageError(f"tolerance {tolerance} must be positive and finite")
     for t in inputs:

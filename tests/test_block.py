@@ -136,7 +136,7 @@ class TestReverseComposition:
         x = tn.tensor(rng.normal(size=(6, 16)), dtype=np.float64)
         xn = tn.layer_norm(x, bw.ln1_gain, bw.ln1_bias)
         attn, _ = forward_attention(xn, bw)
-        probs = head_selector(xn, bw.w_head, 0.1)
+        probs = head_selector(xn, bw.w_head)
         m = tn.tensor(rng.uniform(0.1, 1.0, size=6), dtype=np.float64)
         _, mask = reverse_compose(attn, probs, m)
         np.testing.assert_allclose(mask.data.sum(axis=0), m.data, atol=1e-12)
@@ -147,7 +147,7 @@ class TestReverseComposition:
         x = tn.tensor(rng.normal(size=(5, 12)), dtype=np.float64)
         xn = tn.layer_norm(x, bw.ln1_gain, bw.ln1_bias)
         attn, _ = forward_attention(xn, bw)
-        probs = head_selector(xn, bw.w_head, 0.1)
+        probs = head_selector(xn, bw.w_head)
         np.testing.assert_allclose(probs.data, np.ones((5, 1)))  # one head
         ones = tn.tensor(np.ones(5), dtype=np.float64)
         _, mask = reverse_compose(attn, probs, ones)
@@ -159,7 +159,7 @@ class TestReverseComposition:
         x = tn.tensor(rng.normal(size=(7, 16)), dtype=np.float64)
         xn = tn.layer_norm(x, bw.ln1_gain, bw.ln1_bias)
         attn, _ = forward_attention(xn, bw)
-        probs = head_selector(xn, bw.w_head, 0.1)
+        probs = head_selector(xn, bw.w_head)
         m = tn.tensor(rng.uniform(0.0, 1.0, size=7), dtype=np.float64)
         _, mask = reverse_compose(attn, probs, m)
         assert (mask.data <= m.data[None, :] + 1e-6).all()
@@ -174,7 +174,7 @@ class TestBlockForward:
         gate_prev_np = rng.uniform(0.2, 1.0, size=6)
         x = tn.tensor(x_np, dtype=np.float64)
         gp = tn.tensor(gate_prev_np, dtype=np.float64)
-        out, gate_cum, state = block_forward(x, bw, gp, temperature=0.1)
+        out, gate_cum, state = block_forward(x, bw, gp)
         ex_out, ex_m, ex_mask, ex_probs, ex_gate = np_reverse_block(
             x_np, raw, 4, gate_prev_np, 0.1
         )
@@ -182,7 +182,7 @@ class TestBlockForward:
         np.testing.assert_allclose(gate_cum.data, ex_m, rtol=1e-12)
         np.testing.assert_allclose(state.mask, ex_mask, rtol=1e-10, atol=1e-14)
         xn = tn.layer_norm(x, bw.ln1_gain, bw.ln1_bias)
-        probs = head_selector(xn, bw.w_head, 0.1)
+        probs = head_selector(xn, bw.w_head)
         gate, _ = message_controller(xn, bw.gate_w1, bw.gate_w2, gp)
         np.testing.assert_allclose(probs.data, ex_probs, rtol=1e-10)
         np.testing.assert_allclose(gate.data, ex_gate, rtol=1e-12)
@@ -241,7 +241,7 @@ class TestBlockForward:
         bw, _ = make_block(rng)
         x = tn.tensor(rng.normal(size=(5, 16)), dtype=np.float64)
         xn = tn.layer_norm(x, bw.ln1_gain, bw.ln1_bias)
-        probs = head_selector(xn, bw.w_head, 0.1)
+        probs = head_selector(xn, bw.w_head)
         assert probs.shape == (5, 4)
         np.testing.assert_allclose(probs.data.sum(axis=1), np.ones(5), atol=1e-12)
         gate, cum = message_controller(xn, bw.gate_w1, bw.gate_w2,

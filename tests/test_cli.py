@@ -313,6 +313,13 @@ class TestUsage:
         assert run(["parse", "--input", str(image), "--weights", str(weights),
                     "--config", str(bad)]) == 2
 
+    def test_temperature_is_not_a_config_key(self, tmp_path, capsys):
+        # the head-selector temperature is the constant block.SELECTOR_TEMPERATURE
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + "temperature=0.1\n")
+        assert run(["flops", "--config", str(bad)]) == 2
+        assert "unknown key 'temperature'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["flops", "parse", "prune", "train-toy"])
     def test_config_that_is_not_utf8_is_usage_error(self, workdir, tmp_path, capsys,
                                                     command):
@@ -381,7 +388,7 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "tokens.dvtn" in err and "check failed" not in err
 
-    @pytest.mark.parametrize("label", ["Infinity", "1e300"])
+    @pytest.mark.parametrize("label", ["Infinity", "1e300", "NaN"])
     def test_part_labels_must_fit_int64(self, tmp_path, capsys, label):
         p = tmp_path / "g.json"
         p.write_text('{"width": 2, "height": 1, "labels": [[0, %s]]}' % label)

@@ -423,7 +423,6 @@ class TestRunConfig:
         mc = cfg.to_model_config()
         assert (mc.channels, mc.heads, mc.layers) == (192, 12, 12)
         assert mc.tokens == 196
-        assert mc.temperature == 0.1
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -454,9 +453,19 @@ class TestRunConfig:
     def test_declares_only_min_part_size_beyond_the_model_config(self):
         model_fields = [f.name for f in fields(ModelConfig)]
         assert [f.name for f in fields(RunConfig)] == model_fields + ["min_part_size"]
-        assert len(_KEY_PARSERS) == 11
+        assert len(_KEY_PARSERS) == 10
         assert set(_KEY_PARSERS) == (set(model_fields) - {"prune_schedule"}
                                      | {"prune_layers", "kept_tokens", "min_part_size"})
+
+    def test_accepts_exactly_ten_keys(self):
+        # a new key is a new setting: adding one means changing this test
+        keys = {"image_size", "patch_size", "channels", "heads", "layers", "num_classes",
+                "seed", "min_part_size", "prune_layers", "kept_tokens"}
+        assert set(_KEY_PARSERS) == keys
+        cfg = parse_config("image_size=64\npatch_size=16\nchannels=16\nheads=4\nlayers=3\n"
+                           "num_classes=2\nseed=1\nmin_part_size=0.5\n"
+                           "prune_layers=2\nkept_tokens=9\n")
+        assert cfg.prune_schedule == ((2, 9),) and cfg.min_part_size == 0.5
 
     def test_model_config_is_the_projection(self):
         cfg = parse_config("image_size=64\nchannels=16\nheads=4\nlayers=3\n"
@@ -467,7 +476,7 @@ class TestRunConfig:
                                  prune_schedule=((2, 9),))
 
     @pytest.mark.parametrize("line", [
-        "temperature=nan", "temperature=inf", "temperature=-inf", "min_part_size=nan",
+        "min_part_size=nan", "min_part_size=inf", "min_part_size=-inf",
     ])
     def test_non_finite_floats_rejected(self, line):
         with pytest.raises(ConfigError) as err:
@@ -567,6 +576,14 @@ class TestTreeJson:
         np.testing.assert_array_equal(back.parent, self.tree().parent)
         assert back.root == 1 and type(back.root) is int
 
+    @pytest.mark.parametrize("value", ['"0.25"', "true", "NaN", "Infinity", "-Infinity"])
+    def test_weights_must_be_finite_numbers(self, value):
+        # float() would take "0.25" and true, and NaN or Infinity as they are
+        d = tree_to_json_dict(self.tree())
+        d["nodes"][0]["weight"] = json.loads(value)
+        with pytest.raises(FormatError):
+            tree_from_json_dict(d)
+
     def test_nodes_may_come_in_any_order(self):
         d = tree_to_json_dict(self.tree())
         d["nodes"].reverse()
@@ -618,6 +635,14 @@ class TestGridAndMaskJson:
         with pytest.raises(FormatError) as err:
             load_grid_values(p)
         assert "whole numbers" in str(err.value)
+
+    @pytest.mark.parametrize("label", ['"1"', "true"])
+    def test_grid_labels_must_be_numbers(self, tmp_path, label):
+        # the float64 conversion would take each of these as 1.0
+        p = tmp_path / "g.json"
+        p.write_text('{"width": 2, "height": 1, "labels": [[0, %s]]}' % label)
+        with pytest.raises(FormatError, match="real numbers"):
+            load_grid_values(p)
 
     def test_whole_float_grid_size_accepted(self, tmp_path):
         p = tmp_path / "g.json"

@@ -164,6 +164,19 @@ class TestLedgerValidation:
         with pytest.raises(IntegrityError, match="whole numbers"):
             PruneLedger.from_json_dict(payload)
 
+    @pytest.mark.parametrize("field", ["gate", "share"])
+    @pytest.mark.parametrize("value", ['"1.0"', "true", "NaN"])
+    def test_from_json_rejects_gates_and_shares_that_are_not_finite_numbers(
+            self, field, value):
+        # float() would take "1.0" and true as 1.0, and NaN as it is
+        event = {"layer": 1, "token": 0, "gate": 0.5, "parents": {"1": 1.0}}
+        if field == "gate":
+            event["gate"] = json.loads(value)
+        else:
+            event["parents"]["1"] = json.loads(value)
+        with pytest.raises(IntegrityError):
+            PruneLedger.from_json_dict({"n_tokens": 3, "events": [event]})
+
     def test_from_json_takes_whole_floats(self):
         payload = {"n_tokens": 3.0,
                    "events": [{"layer": 1.0, "token": 2.0, "gate": 0.5, "parents": {"1": 1.0}}]}

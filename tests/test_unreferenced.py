@@ -26,7 +26,7 @@ PACKAGE = ROOT / "src" / "depvit"
 ALLOWED = {"fiedler_vector"}
 
 # Kernels that perfbench/tracer.py wraps by name but no code calls.
-TRACER_ONLY = {"div", "scale", "sum_all", "slice_last", "sum_over_axis"}
+TRACER_ONLY = {"div", "scale", "sum_all", "slice_last", "sum_over_axis", "batched_matmul"}
 
 
 def _references(path: Path) -> tuple[set[str], set[str]]:
