@@ -189,15 +189,14 @@ def fiedler_vector(affinity: np.ndarray) -> np.ndarray:
     return out
 
 
-def saliency_metrics(pred, gt, beta2: float = 0.3) -> MetricReport:
+def saliency_metrics(pred: np.ndarray, gt: np.ndarray, beta2: float = 0.3) -> MetricReport:
     """Score a soft foreground map against a binary reference mask.
 
     max_f_beta sweeps thresholds 0.00..1.00 in steps of 0.01; IoU and
     accuracy are read at threshold 0.5.
     """
-    p = np.asarray(pred.labels if isinstance(pred, LabelGrid) else pred,
-                   dtype=np.float64)
-    g = np.asarray(gt.labels if isinstance(gt, LabelGrid) else gt)
+    p = np.asarray(pred, dtype=np.float64)
+    g = np.asarray(gt)
     if p.shape != g.shape:
         raise ShapeError("prediction and reference masks differ in shape")
     if p.size == 0:

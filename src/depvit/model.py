@@ -221,7 +221,7 @@ def model_forward(inputs, config: ModelConfig, weights: ModelWeights) -> Forward
         states.append(state)
         kept = schedule.get(layer)
         if kept is not None:
-            new_survivors, events = prune_step(states, survivors, kept)
+            new_survivors, events = prune_step(states, kept)
             ledger.events.extend(events)
             if new_survivors.size != survivors.size:
                 local_keep = np.where(np.isin(survivors, new_survivors))[0]

@@ -11,7 +11,6 @@ The journal is checked and replayed one array step per event.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -20,14 +19,15 @@ from .errors import IntegrityError, UsageError, real_numbers, whole_numbers
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(eq=False)
 class PruneEvent:
     """One pruned token: who, when, and where its mass went."""
 
-    layer: int                 # block (1-based) after which the token left
-    token: int                 # original token index
-    gate: float                # cumulative gate at prune time
-    parents: dict[int, float]  # original index -> share, sums to 1
+    layer: int           # block (1-based) after which the token left
+    token: int           # original token index
+    gate: float          # cumulative gate at prune time
+    parents: np.ndarray  # int64 original indices, ascending alive position
+    shares: np.ndarray   # float64 share of each parent, sums to 1
 
     def validate(self, n_tokens: int) -> None:
         if not 0 <= self.token < n_tokens:
@@ -36,14 +36,20 @@ class PruneEvent:
             raise IntegrityError(f"event layer {self.layer} must be >= 1")
         if not 0.0 <= self.gate <= 1.0 + 1e-6:
             raise IntegrityError(f"event gate {self.gate} outside [0, 1]")
-        if not self.parents:
+        idx, wgt = self.parents, self.shares
+        if not idx.size:
             raise IntegrityError(f"event for token {self.token} has no parents")
-        if self.token in self.parents:
+        if wgt.shape != idx.shape:
+            raise IntegrityError(f"token {self.token} has {idx.size} parents, {wgt.size} shares")
+        if self.token in idx:
             raise IntegrityError(f"token {self.token} lists itself as parent")
-        lo, hi = min(self.parents), max(self.parents)
-        if lo < 0 or hi >= min(n_tokens, 2**63):  # ids must also fit int64
+        lo, hi = int(idx.min()), int(idx.max())
+        if lo < 0 or hi >= n_tokens:
             raise IntegrityError(f"parent index {lo if lo < 0 else hi} out of range")
-        wgt = _parent_arrays([self])[1]
+        ordered = np.sort(idx)
+        twice = ordered[1:][ordered[1:] == ordered[:-1]]
+        if twice.size:
+            raise IntegrityError(f"event for token {self.token} lists parent {twice[0]} twice")
         bad = wgt[~(np.isfinite(wgt) & (wgt >= -1e-12))]
         if bad.size:
             raise IntegrityError(f"parent share {bad[0]} is negative or not finite")
@@ -77,8 +83,9 @@ class PruneLedger:
                 raise IntegrityError(f"token {e.token} pruned twice")
             if e.layer < last_layer:
                 raise IntegrityError("events out of chronological order")
-            if not seen.isdisjoint(e.parents):
-                dead = next(idx for idx in e.parents if idx in seen)
+            parents = e.parents.tolist()
+            if not seen.isdisjoint(parents):
+                dead = next(idx for idx in parents if idx in seen)
                 raise IntegrityError(f"event for token {e.token} references dead parent {dead}")
             seen.add(e.token)
             last_layer = e.layer
@@ -92,7 +99,7 @@ class PruneLedger:
                     "token": e.token,
                     "gate": e.gate,
                     # no slower than leaving int keys to json.dumps (~23 ms per 17k keys)
-                    "parents": {str(k): v for k, v in e.parents.items()},
+                    "parents": {str(k): v for k, v in zip(e.parents.tolist(), e.shares.tolist())},
                 }
                 for e in self.events
             ],
@@ -107,8 +114,8 @@ class PruneLedger:
                     PruneEvent(
                         *whole_numbers(e["layer"], e["token"]),
                         gate=real_numbers(e["gate"])[0],
-                        parents=dict(zip(map(int, e["parents"]),
-                                         real_numbers(*e["parents"].values()))),
+                        parents=_parent_ids(e["parents"]),
+                        shares=np.array(real_numbers(*e["parents"].values()), dtype=np.float64),
                     )
                     for e in payload["events"]
                 ],
@@ -118,6 +125,16 @@ class PruneLedger:
             raise IntegrityError(f"malformed ledger payload: {exc}") from exc
         ledger.validate()
         return ledger
+
+
+def _parent_ids(keys) -> np.ndarray:
+    """JSON object keys as int64 ids, each the canonical decimal of its id:
+    int() also takes "1_1", " +2 " and "01"."""
+    ids = [int(k) for k in keys]
+    bad = [k for k, i in zip(keys, ids) if str(i) != k]
+    if bad:
+        raise ValueError(f"parent id {bad[0]!r} is not a canonical decimal")
+    return np.array(ids, dtype=np.int64)  # OverflowError beyond int64
 
 
 def argmax_graph(mask: np.ndarray) -> np.ndarray:
@@ -148,24 +165,9 @@ def received_mass(states: list[AttentionState]) -> np.ndarray:
     return out
 
 
-def _event_distribution(column: np.ndarray, local_alive: np.ndarray,
-                        survivors: np.ndarray) -> dict[int, float]:
-    """Normalize a token's outgoing mass over the locally alive tokens.
-
-    An all-zero column falls back to a uniform split so the journal always
-    carries a proper distribution.
-    """
-    weights = column[local_alive]
-    total = float(weights.sum())
-    targets = survivors[local_alive].tolist()
-    if total <= 1e-12:
-        return dict.fromkeys(targets, 1.0 / len(targets))
-    return dict(zip(targets, (weights / total).tolist()))
-
-
-def prune_step(states: list[AttentionState], survivors: np.ndarray,
+def prune_step(states: list[AttentionState],
                kept: int) -> tuple[np.ndarray, list[PruneEvent]]:
-    """Shrink the survivor set to ``kept`` tokens after the latest block.
+    """Shrink the latest block's tokens to ``kept`` survivors.
 
     Tokens leave in leaf rounds.  Each round takes the alive tokens with no
     alive child in the current argmax graph, ranks them by cumulative
@@ -175,10 +177,10 @@ def prune_step(states: list[AttentionState], survivors: np.ndarray,
     if the graph's cycles alone exceed ``kept`` the step fails rather than
     break the guarantee.  Events are tagged with layer ``len(states)``.
     """
-    survivors = np.asarray(survivors, dtype=np.int64)
-    s = survivors.size
     if not states:
         raise UsageError("prune_step needs at least one block state")
+    survivors = np.asarray(states[-1].token_indices, dtype=np.int64)
+    s = survivors.size
     mask = states[-1].mask
     if mask.shape != (s, s):
         raise UsageError(f"latest mask must be ({s}, {s}) over the survivors")
@@ -204,22 +206,22 @@ def prune_step(states: list[AttentionState], survivors: np.ndarray,
         for v in leaves[np.lexsort((survivors[leaves], scores[leaves]))][:remaining - kept]:
             alive[v] = False
             remaining -= 1
+            local = np.flatnonzero(alive)
+            sent = mask[local, v]
+            total = float(sent.sum())
             events.append(PruneEvent(
                 layer=len(states),
                 token=int(survivors[v]),
                 gate=float(states[-1].cumulative_gate[v]),
-                parents=_event_distribution(mask[:, v], np.flatnonzero(alive), survivors),
+                parents=survivors[local],
+                # divided in the mask's dtype, then widened exactly; an all-zero
+                # column splits evenly, so every event carries a distribution
+                shares=(sent / total).astype(np.float64) if total > 1e-12
+                else np.full(local.size, 1.0 / local.size),
             ))
             child_count[parent[v]] -= 1
 
     return survivors[alive], events
-
-
-def _parent_arrays(events: list[PruneEvent]) -> tuple[np.ndarray, np.ndarray]:
-    """The events' parent indices and shares, concatenated in journal order."""
-    n = sum(len(e.parents) for e in events)
-    return (np.fromiter(chain.from_iterable(e.parents for e in events), np.int64, n),
-            np.fromiter(chain.from_iterable(e.parents.values() for e in events), np.float64, n))
 
 
 def retrieve_dense(final_tokens: np.ndarray, ledger: PruneLedger) -> np.ndarray:
@@ -242,12 +244,8 @@ def retrieve_dense(final_tokens: np.ndarray, ledger: PruneLedger) -> np.ndarray:
     c = final_tokens.shape[1]
     out = np.zeros((ledger.n_tokens, c), dtype=final_tokens.dtype)
     out[ledger.survivors()] = final_tokens
-    idx, wgt = _parent_arrays(ledger.events)
-    hi = idx.size
     for e in reversed(ledger.events):
-        lo = hi - len(e.parents)
-        terms = wgt[lo:hi, None] * out[idx[lo:hi]]  # float64 whatever the token dtype
-        hi = lo
+        terms = e.shares[:, None] * out[e.parents]  # float64 whatever the token dtype
         # parents are added one by one in journal order: a sum over axis 0 adds
         # whole rows in order, but a single column is summed pairwise, so it takes
         # the last prefix sum; + 0.0 makes a -0.0 total +0.0, as a zero-started sum would
@@ -271,10 +269,8 @@ def expand_state_mask(state: AttentionState, ledger: PruneLedger) -> np.ndarray:
     if idx.size != state.mask.shape[0] or n != idx.size + len(gone):
         raise IntegrityError(f"a {idx.size}-token state with a {state.mask.shape} mask and "
                              f"{len(gone)} tokens pruned before it do not make {n} tokens")
-    rows, shares = _parent_arrays(gone)
-    counts = [len(e.parents) for e in gone]
-    cols = np.repeat(np.array([e.token for e in gone], dtype=np.int64), counts)
     full = np.zeros((n, n), dtype=np.float64)
     full[np.ix_(idx, idx)] = state.mask
-    full[rows, cols] = np.repeat([e.gate for e in gone], counts) * shares
+    for e in gone:
+        full[e.parents, e.token] = e.gate * e.shares
     return full

@@ -498,13 +498,13 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _record(None, out_data, (a,), backward)
 
 
-def softmax_rows(a: Tensor, temperature: float = 1.0) -> Tensor:
+def softmax_rows(a: Tensor, temperature: float) -> Tensor:
     """Row softmax over the last axis: softmax(x / temperature).
 
     Uses the max-shift form so large logits stay finite.
     """
-    if temperature <= 0:
-        raise UsageError(f"softmax temperature must be positive, got {temperature}")
+    if not 0 < temperature < math.inf:  # NaN fails both comparisons
+        raise UsageError(f"softmax temperature must be positive and finite, got {temperature}")
     out_data = a.data / a.dtype.type(temperature)
     out_data -= _reduce_max(out_data, axis=-1, keepdims=True)
     np.exp(out_data, out=out_data)

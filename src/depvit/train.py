@@ -18,29 +18,31 @@ from .model import ModelConfig, ModelWeights, init_weights, model_forward
 from .tensor import Tape, Tensor
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, one pair per parameter tensor."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    step: int = field(default=0, init=False)
+    m: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    v: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
     def update(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
         self.step += 1
-        b1c = 1.0 - self.beta1 ** self.step
-        b2c = 1.0 - self.beta2 ** self.step
+        b1c = 1.0 - ADAM_BETA1 ** self.step
+        b2c = 1.0 - ADAM_BETA2 ** self.step
         for name, t in params.items():
             g = grads[name].astype(np.float64)
             m = self.m.setdefault(name, np.zeros(t.shape))
             v = self.v.setdefault(name, np.zeros(t.shape))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            delta = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            delta = self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
             t.data -= delta.astype(t.dtype)
 
 

@@ -171,27 +171,35 @@ def ledger_fault(n_tokens: int, events) -> str | None:
 
     The reference for ``PruneLedger.validate``: one Python pass over every
     event and every parent entry.  ``events`` are objects with ``layer``,
-    ``token``, ``gate`` and a ``parents`` dict of index -> share.
+    ``token``, ``gate`` and ``parents`` and ``shares`` arrays of original
+    index and share.
     """
     if n_tokens < 1:
         return "ledger needs n_tokens >= 1"
     seen = set()
     last_layer = 0
     for e in events:
+        parents = e.parents.tolist()
         if not 0 <= e.token < n_tokens:
             return f"event token {e.token} out of range"
         if e.layer < 1:
             return f"event layer {e.layer} must be >= 1"
         if not 0.0 <= e.gate <= 1.0 + 1e-6:
             return f"event gate {e.gate} outside [0, 1]"
-        if not e.parents:
+        if not parents:
             return f"event for token {e.token} has no parents"
-        if e.token in e.parents:
+        if len(e.shares) != len(parents):
+            return f"token {e.token} has {len(parents)} parents, {len(e.shares)} shares"
+        if e.token in parents:
             return f"token {e.token} lists itself as parent"
         total = 0.0
-        for idx, wgt in e.parents.items():
+        listed = set()
+        for idx, wgt in zip(parents, e.shares.tolist()):
             if not 0 <= idx < n_tokens:
                 return f"parent index {idx} out of range"
+            if idx in listed:
+                return f"event for token {e.token} lists parent {idx} twice"
+            listed.add(idx)
             if not np.isfinite(wgt) or wgt < -1e-12:
                 return f"parent share {wgt} is negative or not finite"
             total += wgt
@@ -201,7 +209,7 @@ def ledger_fault(n_tokens: int, events) -> str | None:
             return f"token {e.token} pruned twice"
         if e.layer < last_layer:
             return "events out of chronological order"
-        for idx in e.parents:
+        for idx in parents:
             if idx in seen:
                 return f"event for token {e.token} references dead parent {idx}"
         seen.add(e.token)

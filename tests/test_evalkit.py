@@ -286,11 +286,6 @@ class TestSaliencyMetrics:
         with pytest.raises(UsageError, match="finite"):
             saliency_metrics(np.array([[bad, 1.0], [1.0, 0.0]]), gt)
 
-    def test_accepts_label_grids(self):
-        g = LabelGrid.from_labels(np.array([[1, 0], [0, 1]]))
-        rep = saliency_metrics(g, g)
-        assert rep.acc == 1.0
-
     @given(st.integers(0, 2 ** 16 - 1))
     @settings(max_examples=30, deadline=None)
     def test_metrics_within_unit_interval(self, seed):

@@ -22,6 +22,12 @@ from depvit.pruning import (
 from oracles import ledger_fault
 
 
+def dict_event(layer, token, gate, parents):
+    """A PruneEvent from a {parent id: share} dict, in the dict's order."""
+    return PruneEvent(layer, token, gate, np.array(list(parents), dtype=np.int64),
+                      np.array(list(parents.values()), dtype=np.float64))
+
+
 def state_from_mask(mask, tokens=None, gate=None):
     mask = np.asarray(mask, dtype=np.float64)
     n = mask.shape[0]
@@ -50,46 +56,57 @@ def hand_mask_four_tokens():
 
 class TestPruneEventValidation:
     def test_good_event_passes(self):
-        PruneEvent(layer=1, token=0, gate=0.5, parents={1: 0.5, 2: 0.5}).validate(4)
+        dict_event(layer=1, token=0, gate=0.5, parents={1: 0.5, 2: 0.5}).validate(4)
 
     def test_token_out_of_range(self):
         with pytest.raises(IntegrityError):
-            PruneEvent(layer=1, token=4, gate=0.5, parents={1: 1.0}).validate(4)
+            dict_event(layer=1, token=4, gate=0.5, parents={1: 1.0}).validate(4)
 
     def test_layer_below_one(self):
         with pytest.raises(IntegrityError):
-            PruneEvent(layer=0, token=0, gate=0.5, parents={1: 1.0}).validate(4)
+            dict_event(layer=0, token=0, gate=0.5, parents={1: 1.0}).validate(4)
 
     def test_gate_above_one(self):
         with pytest.raises(IntegrityError):
-            PruneEvent(layer=1, token=0, gate=1.5, parents={1: 1.0}).validate(4)
+            dict_event(layer=1, token=0, gate=1.5, parents={1: 1.0}).validate(4)
 
     def test_empty_parents(self):
         with pytest.raises(IntegrityError):
-            PruneEvent(layer=1, token=0, gate=0.5, parents={}).validate(4)
+            dict_event(layer=1, token=0, gate=0.5, parents={}).validate(4)
 
     def test_self_parent(self):
         with pytest.raises(IntegrityError):
-            PruneEvent(layer=1, token=0, gate=0.5, parents={0: 1.0}).validate(4)
+            dict_event(layer=1, token=0, gate=0.5, parents={0: 1.0}).validate(4)
 
     def test_shares_must_sum_to_one(self):
         with pytest.raises(IntegrityError):
-            PruneEvent(layer=1, token=0, gate=0.5, parents={1: 0.7, 2: 0.7}).validate(4)
+            dict_event(layer=1, token=0, gate=0.5, parents={1: 0.7, 2: 0.7}).validate(4)
+
+    def test_duplicate_parent(self):
+        # a dict could not hold this; expand_state_mask would drop one share
+        ev = PruneEvent(1, 0, 0.5, np.array([2, 1, 2]), np.array([0.25, 0.5, 0.25]))
+        with pytest.raises(IntegrityError, match="lists parent 2 twice"):
+            ev.validate(4)
+
+    def test_one_share_per_parent(self):
+        ev = PruneEvent(1, 0, 0.5, np.array([1, 2]), np.array([1.0]))
+        with pytest.raises(IntegrityError, match="2 parents, 1 shares"):
+            ev.validate(4)
 
 
 class TestLedgerValidation:
     def test_duplicate_token_rejected(self):
         led = PruneLedger(n_tokens=3, events=[
-            PruneEvent(1, 0, 1.0, {1: 1.0}),
-            PruneEvent(2, 0, 1.0, {1: 1.0}),
+            dict_event(1, 0, 1.0, {1: 1.0}),
+            dict_event(2, 0, 1.0, {1: 1.0}),
         ])
         with pytest.raises(IntegrityError):
             led.validate()
 
     def test_layers_must_be_chronological(self):
         led = PruneLedger(n_tokens=4, events=[
-            PruneEvent(3, 0, 1.0, {1: 1.0}),
-            PruneEvent(1, 2, 1.0, {1: 1.0}),
+            dict_event(3, 0, 1.0, {1: 1.0}),
+            dict_event(1, 2, 1.0, {1: 1.0}),
         ])
         with pytest.raises(IntegrityError):
             led.validate()
@@ -97,8 +114,8 @@ class TestLedgerValidation:
     def test_parent_must_be_alive_at_event(self):
         # token 1 leaves first, then token 0 claims it as a parent
         led = PruneLedger(n_tokens=3, events=[
-            PruneEvent(1, 1, 1.0, {2: 1.0}),
-            PruneEvent(2, 0, 1.0, {1: 1.0}),
+            dict_event(1, 1, 1.0, {2: 1.0}),
+            dict_event(2, 0, 1.0, {1: 1.0}),
         ])
         with pytest.raises(IntegrityError):
             led.validate()
@@ -106,32 +123,31 @@ class TestLedgerValidation:
     def test_same_layer_order_is_event_order(self):
         # within one layer, earlier events die before later ones
         led = PruneLedger(n_tokens=3, events=[
-            PruneEvent(1, 1, 1.0, {2: 1.0}),
-            PruneEvent(1, 0, 1.0, {2: 1.0}),
+            dict_event(1, 1, 1.0, {2: 1.0}),
+            dict_event(1, 0, 1.0, {2: 1.0}),
         ])
         led.validate()
 
     def test_survivors_and_pruned(self):
         led = PruneLedger(n_tokens=4, events=[
-            PruneEvent(1, 2, 1.0, {0: 1.0}),
-            PruneEvent(3, 0, 1.0, {1: 0.5, 3: 0.5}),
+            dict_event(1, 2, 1.0, {0: 1.0}),
+            dict_event(3, 0, 1.0, {1: 0.5, 3: 0.5}),
         ])
         assert list(led.survivors()) == [1, 3]
 
     def test_json_round_trip(self):
         led = PruneLedger(n_tokens=4, events=[
-            PruneEvent(1, 2, 0.75, {0: 0.25, 3: 0.75}),
-            PruneEvent(2, 0, 0.5, {1: 1.0}),
+            dict_event(1, 2, 0.75, {0: 0.25, 3: 0.75}),
+            dict_event(2, 0, 0.5, {1: 1.0}),
         ])
         led.validate()
         back = PruneLedger.from_json_dict(led.to_json_dict())
         back.validate()
-        assert back.n_tokens == led.n_tokens
-        assert len(back.events) == 2
+        assert back.to_json_dict() == led.to_json_dict()
         for e, f in zip(led.events, back.events):
-            assert (e.layer, e.token) == (f.layer, f.token)
-            assert e.gate == f.gate
-            assert e.parents == f.parents
+            assert f.parents.dtype == np.int64 and f.shares.dtype == np.float64
+            assert f.parents.tobytes() == e.parents.tobytes()
+            assert f.shares.tobytes() == e.shares.tobytes()
 
     def test_from_json_rejects_malformed(self):
         with pytest.raises(IntegrityError):
@@ -144,6 +160,12 @@ class TestLedgerValidation:
         (3, {"1": float("nan")}),     # a NaN share must not pass the sum check
         (float("inf"), {"1": 1.0}),   # n_tokens that no integer can hold
         (10**30, {str(2**63): 1.0}),  # a parent id beyond int64
+        (10**30, {str(2**64): 1.0}),
+        (10**30, {str(10**30): 1.0}),
+        (10**30, {str(-2**63 - 1): 1.0}),
+        # int() takes each of these keys, as 11, 2 and 1
+        (20, {"1_1": 0.5, " +2 ": 0.5}),
+        (20, {"01": 1.0}),
     ])
     def test_from_json_rejects_bad_values(self, n_tokens, parents):
         payload = {"n_tokens": n_tokens,
@@ -197,37 +219,42 @@ class TestPruneStep:
     def test_hand_case_prunes_lowest_mass_leaves(self):
         mask = hand_mask_four_tokens()
         states = [state_from_mask(mask, gate=[0.9, 0.8, 0.7, 0.6])]
-        survivors, events = prune_step(states, np.arange(4), kept=2)
+        survivors, events = prune_step(states, kept=2)
         assert list(survivors) == [1, 2]
         assert [e.token for e in events] == [0, 3]
-        # token 0 distributes its outgoing column over {1, 2, 3}
-        dist0 = events[0].parents
-        assert set(dist0) == {1, 2, 3}
-        np.testing.assert_allclose(
-            [dist0[1], dist0[2], dist0[3]],
-            np.array([0.5, 0.3, 0.05]) / 0.85,
-            atol=1e-12,
-        )
-        # token 3 then distributes over {1, 2}; its column is [0.1, 0.0]
-        dist3 = events[1].parents
-        assert set(dist3) == {1, 2}
-        np.testing.assert_allclose([dist3[1], dist3[2]], [1.0, 0.0], atol=1e-12)
+        # token 0 distributes its outgoing column over 1, 2, 3
+        assert events[0].parents.dtype == np.int64
+        assert events[0].shares.dtype == np.float64
+        assert events[0].parents.tolist() == [1, 2, 3]
+        np.testing.assert_allclose(events[0].shares, np.array([0.5, 0.3, 0.05]) / 0.85,
+                                   atol=1e-12)
+        # token 3 then distributes over 1, 2; its column is [0.1, 0.0]
+        assert events[1].parents.tolist() == [1, 2]
+        np.testing.assert_allclose(events[1].shares, [1.0, 0.0], atol=1e-12)
         assert events[0].gate == pytest.approx(0.9)
         assert events[1].gate == pytest.approx(0.6)
         assert all(e.layer == 1 for e in events)
 
+    def test_float32_shares_are_widened_exactly(self):
+        mask = hand_mask_four_tokens().astype(np.float32)
+        state = AttentionState(mask=mask, cumulative_gate=np.ones(4, dtype=np.float32),
+                               token_indices=np.arange(4))
+        _, events = prune_step([state], kept=3)
+        column = mask[1:, 0]
+        assert events[0].shares.tolist() == (column / float(column.sum())).tolist()
+
     def test_noop_when_kept_equals_current(self):
         states = [state_from_mask(hand_mask_four_tokens())]
-        survivors, events = prune_step(states, np.arange(4), kept=4)
+        survivors, events = prune_step(states, kept=4)
         assert list(survivors) == [0, 1, 2, 3]
         assert events == []
 
     def test_kept_bounds_rejected(self):
         states = [state_from_mask(hand_mask_four_tokens())]
         with pytest.raises(UsageError):
-            prune_step(states, np.arange(4), kept=0)
+            prune_step(states, kept=0)
         with pytest.raises(UsageError):
-            prune_step(states, np.arange(4), kept=5)
+            prune_step(states, kept=5)
 
     def test_only_leaves_are_pruned(self):
         rng = np.random.default_rng(7)
@@ -238,7 +265,7 @@ class TestPruneStep:
             kept = int(rng.integers(1, n))
             states = [state_from_mask(mask)]
             try:
-                _, events = prune_step(states, np.arange(n), kept)
+                _, events = prune_step(states, kept)
             except IntegrityError:
                 continue  # argmax cycles can make the target unreachable
             alive = np.ones(n, dtype=bool)
@@ -269,7 +296,7 @@ class TestPruneStep:
         a[2, 1] = 0.9                  # 1 -> 2
         a[1, 2] = 0.3                  # 2 -> 1
         states = [state_from_mask(a)]
-        _, events = prune_step(states, np.arange(4), kept=2)
+        _, events = prune_step(states, kept=2)
         assert [e.token for e in events] == [0, 3]
 
     def test_leaf_rounds_finish_before_new_leaves(self):
@@ -283,7 +310,7 @@ class TestPruneStep:
         a[4, 3], a[2, 3] = 0.9, 0.3   # 3 -> 4
         a[3, 4] = 0.8                 # 4 -> 3
         states = [state_from_mask(a), state_from_mask(a)]
-        survivors, events = prune_step(states, np.arange(5), kept=2)
+        survivors, events = prune_step(states, kept=2)
         assert list(survivors) == [3, 4]
         assert [e.token for e in events] == [0, 2, 1]
         assert all(e.layer == 2 for e in events)  # one event layer per block run
@@ -292,26 +319,26 @@ class TestPruneStep:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         states = [state_from_mask(a)]
         with pytest.raises(IntegrityError):
-            prune_step(states, np.arange(2), kept=1)
+            prune_step(states, kept=1)
 
     def test_uniform_fallback_for_zero_column(self):
         a = np.zeros((3, 3))
         a[1, 2] = 0.5   # 2 -> 1; tokens 0 and 2 are leaves, 0 has zero column
         a[2, 1] = 0.4
         states = [state_from_mask(a)]
-        _, events = prune_step(states, np.arange(3), kept=2)
+        _, events = prune_step(states, kept=2)
         assert events[0].token == 0
-        np.testing.assert_allclose(sorted(events[0].parents.values()), [0.5, 0.5])
+        assert events[0].shares.tolist() == [0.5, 0.5]
 
     def test_token_indices_respected(self):
         # survivors carry original ids; events must report those
         mask = hand_mask_four_tokens()
         tokens = np.array([2, 5, 7, 11])
         states = [state_from_mask(mask, tokens=tokens)]
-        survivors, events = prune_step(states, tokens, kept=2)
+        survivors, events = prune_step(states, kept=2)
         assert list(survivors) == [5, 7]
         assert [e.token for e in events] == [2, 11]
-        assert set(events[0].parents) == {5, 7, 11}
+        assert events[0].parents.tolist() == [5, 7, 11]
 
 
 class TestRetrieveDense:
@@ -326,7 +353,7 @@ class TestRetrieveDense:
     def test_one_hot_parent_copies_feature(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         led = PruneLedger(n_tokens=3, events=[
-            PruneEvent(1, 1, 0.5, {0: 1.0}),
+            dict_event(1, 1, 0.5, {0: 1.0}),
         ])
         out = retrieve_dense(x, led)
         np.testing.assert_array_equal(out[1], x[0])
@@ -337,8 +364,8 @@ class TestRetrieveDense:
         # chronological: token 0 leaves first (parents 1, 2, 3), token 3
         # second (parents 1, 2).  Replay must rebuild 3 before 0.
         led = PruneLedger(n_tokens=4, events=[
-            PruneEvent(1, 0, 1.0, {1: 0.5, 2: 0.25, 3: 0.25}),
-            PruneEvent(2, 3, 1.0, {1: 0.5, 2: 0.5}),
+            dict_event(1, 0, 1.0, {1: 0.5, 2: 0.25, 3: 0.25}),
+            dict_event(2, 3, 1.0, {1: 0.5, 2: 0.5}),
         ])
         x = np.array([[1.0, 0.0], [0.0, 1.0]])  # rows for survivors 1, 2
         out = retrieve_dense(x, led)
@@ -346,7 +373,7 @@ class TestRetrieveDense:
         np.testing.assert_allclose(out[0], [0.625, 0.375])
 
     def test_row_count_mismatch(self):
-        led = PruneLedger(n_tokens=4, events=[PruneEvent(1, 0, 1.0, {1: 1.0})])
+        led = PruneLedger(n_tokens=4, events=[dict_event(1, 0, 1.0, {1: 1.0})])
         with pytest.raises(IntegrityError):
             retrieve_dense(np.zeros((2, 3)), led)
         with pytest.raises(IntegrityError):
@@ -365,8 +392,8 @@ class TestRetrieveDense:
         # reverse replay 0 is rebuilt after 3 needs it, which must fail
         # ledger validation (chronology is fine, coverage is the issue).
         led = PruneLedger(n_tokens=4, events=[
-            PruneEvent(1, 3, 1.0, {0: 1.0}),
-            PruneEvent(2, 0, 1.0, {1: 1.0}),
+            dict_event(1, 3, 1.0, {0: 1.0}),
+            dict_event(2, 0, 1.0, {1: 1.0}),
         ])
         led.validate()  # parents were alive at event time, so this is legal
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -387,7 +414,7 @@ class TestRetrieveDense:
         ref[res.ledger.survivors()] = res.tokens.data
         for e in reversed(res.ledger.events):
             acc = np.zeros(ref.shape[1], dtype=np.float64)
-            for idx, wgt in e.parents.items():
+            for idx, wgt in zip(e.parents.tolist(), e.shares.tolist()):
                 acc += wgt * ref[idx].astype(np.float64)
             ref[e.token] = acc.astype(ref.dtype)
         out = retrieve_dense(res.tokens, res.ledger)
@@ -400,11 +427,11 @@ class TestRetrieveDense:
         shares = rng.random(40) * 10.0 ** rng.integers(-8, 8, 40)
         shares /= shares.sum()
         led = PruneLedger(n_tokens=41, events=[
-            PruneEvent(1, 0, 1.0, {i + 1: float(w) for i, w in enumerate(shares)}),
+            dict_event(1, 0, 1.0, {i + 1: float(w) for i, w in enumerate(shares)}),
         ])
         x = rng.standard_normal((40, 1)) * 10.0 ** rng.integers(-8, 8, (40, 1))
         acc = 0.0
-        for i, w in led.events[0].parents.items():
+        for i, w in zip(led.events[0].parents.tolist(), led.events[0].shares.tolist()):
             acc += w * x[i - 1, 0]
         assert retrieve_dense(x, led)[0, 0] == acc
 
@@ -422,7 +449,7 @@ class TestRetrieveDense:
             parents = rng.choice(alive, size=min(alive.size, 25), replace=False)
             shares = rng.random(parents.size) * 10.0 ** rng.integers(-8, 8, parents.size)
             shares /= shares.sum()
-            events.append(PruneEvent(1, tok, 1.0, dict(zip(parents.tolist(), shares.tolist()))))
+            events.append(PruneEvent(1, tok, 1.0, parents, shares))
         led = PruneLedger(n_tokens=n, events=events)
         rows = (n - pruned, width)
         x = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows)
@@ -430,14 +457,14 @@ class TestRetrieveDense:
         ref[led.survivors()] = x
         for e in reversed(events):
             acc = np.zeros(width)
-            for idx, wgt in e.parents.items():
+            for idx, wgt in zip(e.parents.tolist(), e.shares.tolist()):
                 acc += wgt * ref[idx]
             ref[e.token] = acc
         assert retrieve_dense(x, led).tobytes() == ref.tobytes()
 
     def test_negative_zero_total_is_positive_zero(self):
         # the replay starts from a zero accumulator: 0.0 + 1.0 * -0.0 is +0.0
-        led = PruneLedger(n_tokens=2, events=[PruneEvent(1, 0, 1.0, {1: 1.0})])
+        led = PruneLedger(n_tokens=2, events=[dict_event(1, 0, 1.0, {1: 1.0})])
         out = retrieve_dense(np.array([[-0.0, 2.0]]), led)
         assert out[0].tobytes() == np.array([0.0, 2.0]).tobytes()
 
@@ -452,7 +479,7 @@ class TestExpandMask:
 
     def test_pruned_column_is_gate_times_distribution(self):
         led = PruneLedger(n_tokens=3, events=[
-            PruneEvent(1, 1, 0.8, {0: 0.75, 2: 0.25}),
+            dict_event(1, 1, 0.8, {0: 0.75, 2: 0.25}),
         ])
         sub = np.array([[0.0, 0.3], [0.2, 0.0]])
         st = state_from_mask(sub, tokens=np.array([0, 2]))
@@ -464,8 +491,8 @@ class TestExpandMask:
     def test_column_sums_preserved(self):
         # column mass of a pruned token equals its cached gate
         led = PruneLedger(n_tokens=5, events=[
-            PruneEvent(1, 0, 0.6, {1: 0.5, 2: 0.5}),
-            PruneEvent(2, 4, 0.25, {1: 0.1, 2: 0.2, 3: 0.7}),
+            dict_event(1, 0, 0.6, {1: 0.5, 2: 0.5}),
+            dict_event(2, 4, 0.25, {1: 0.1, 2: 0.2, 3: 0.7}),
         ])
         sub = np.random.default_rng(1).random((3, 3))
         np.fill_diagonal(sub, 0.0)
@@ -477,7 +504,7 @@ class TestExpandMask:
     @pytest.mark.parametrize("n_tokens", [10**30, 5000])
     def test_token_count_must_match_state(self, n_tokens):
         # one state token plus one token pruned before the block make 2
-        led = PruneLedger(n_tokens=n_tokens, events=[PruneEvent(1, 0, 1.0, {1: 1.0})])
+        led = PruneLedger(n_tokens=n_tokens, events=[dict_event(1, 0, 1.0, {1: 1.0})])
         led.validate()
         with pytest.raises(IntegrityError):
             expand_state_mask(state_from_mask([[0.0]], tokens=[1]), led)
@@ -526,7 +553,7 @@ class TestLedgerJsonProperty:
         assert json.dumps(PruneLedger.from_json_dict(json.loads(text)).to_json_dict()) == text
 
 
-_BAD_IDS = [-1, 2**63 - 1, 2**63, 2**64, -2**63 - 1, 10**30]
+_BAD_IDS = [-1, 2**63 - 1, -2**63]  # ids beyond int64 are a JSON reader case
 _ODD_SHARES = [float("nan"), float("inf"), -float("inf"), -0.1, -1e-13]
 _ODD_GATES = [float("nan"), float("inf"), -0.1, 1.0 + 5e-7, 1.0 + 2e-6]
 
@@ -546,22 +573,22 @@ def journals(draw):
         raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(targets), max_size=len(targets)))
         layer += draw(st.integers(0, 2))
         events.append(PruneEvent(layer, token, draw(st.floats(0.0, 1.0)),
-                                 {t: w / sum(raw) for t, w in zip(targets, raw)}))
+                                 np.array(targets, dtype=np.int64),
+                                 np.array([w / sum(raw) for w in raw])))
     kind = draw(st.sampled_from(
         ["none", "share", "parent id", "n_tokens", "self parent", "dead parent",
-         "layer", "token", "gate", "empty", "scale"]))
+         "layer", "token", "gate", "empty", "scale", "duplicate", "share count"]))
     if kind == "none":
         return PruneLedger(n, events)
     if kind == "n_tokens":
         return PruneLedger(draw(st.integers(-1, n + 1)), events)
     e = draw(st.sampled_from(events))
-    old = draw(st.sampled_from(sorted(e.parents)))
+    i = draw(st.integers(0, e.parents.size - 1))
     if kind == "share":
-        e.parents[old] = draw(st.sampled_from(_ODD_SHARES))
+        e.shares[i] = draw(st.sampled_from(_ODD_SHARES))
     elif kind in ("parent id", "self parent", "dead parent"):
-        new = draw(st.sampled_from({"parent id": _BAD_IDS, "self parent": [e.token],
-                                    "dead parent": [f.token for f in events]}[kind]))
-        e.parents = {(new if k == old else k): v for k, v in e.parents.items()}
+        e.parents[i] = draw(st.sampled_from({"parent id": _BAD_IDS, "self parent": [e.token],
+                                             "dead parent": [f.token for f in events]}[kind]))
     elif kind == "layer":
         e.layer = draw(st.integers(-1, layer + 1))
     elif kind == "token":
@@ -569,10 +596,14 @@ def journals(draw):
     elif kind == "gate":
         e.gate = draw(st.sampled_from(_ODD_GATES))
     elif kind == "empty":
-        e.parents = {}
+        e.parents, e.shares = e.parents[:0], e.shares[:0]
     elif kind == "scale":
-        e.parents = {k: v * draw(st.sampled_from([1.0 + 5e-7, 1.0 + 2e-6, 0.5]))
-                     for k, v in e.parents.items()}
+        e.shares = e.shares * np.array(
+            [draw(st.sampled_from([1.0 + 5e-7, 1.0 + 2e-6, 0.5])) for _ in e.shares])
+    elif kind == "duplicate":  # the sum still holds
+        e.parents, e.shares = np.append(e.parents, e.parents[i]), np.append(e.shares, 0.0)
+    elif kind == "share count":
+        e.shares = np.delete(e.shares, i)
     return PruneLedger(n, events)
 
 
@@ -603,7 +634,7 @@ class TestJournalScale:
             mask = rng.uniform(size=(s, s))
             np.fill_diagonal(mask, 0.0)
             states.append(state_from_mask(mask, tokens=survivors, gate=rng.uniform(size=s)))
-            survivors, events = prune_step(states, survivors, kept)
+            survivors, events = prune_step(states, kept)
             ledger.events.extend(events)
         ledger.validate()
         final = rng.standard_normal((128, 8))
@@ -613,7 +644,7 @@ class TestJournalScale:
         back = PruneLedger.from_json_dict(json.loads((tmp_path / "ledger.json").read_text()))
         assert time.monotonic() - t0 < 60.0
         assert len(ledger.events) == 896
-        assert back == ledger
+        assert back.to_json_dict() == ledger.to_json_dict()
         assert dense[survivors].tobytes() == final.tobytes()
         gone = [e.token for e in ledger.events if e.layer < 4]
         np.testing.assert_allclose(full[:, gone].sum(axis=0),

@@ -46,12 +46,12 @@ class TestForwardOracles:
 
     def test_softmax_uniform_rows(self):
         x = T.tensor(np.zeros((3, 5)), dtype=np.float64)
-        out = T.softmax_rows(x)
+        out = T.softmax_rows(x, temperature=1.0)
         np.testing.assert_allclose(out.data, np.full((3, 5), 0.2))
 
     def test_softmax_large_logits_stay_finite(self):
         x = T.tensor([[1000.0, 0.0, -1000.0]], dtype=np.float64)
-        out = T.softmax_rows(x)
+        out = T.softmax_rows(x, temperature=1.0)
         assert np.isfinite(out.data).all()
         np.testing.assert_allclose(out.data.sum(), 1.0)
 
@@ -169,9 +169,11 @@ class TestErrorPaths:
             with pytest.raises(ShapeError):
                 T.cross_entropy(logits, [])
 
-    def test_bad_temperature(self):
-        with pytest.raises(UsageError):
-            T.softmax_rows(T.tensor([[1.0]]), temperature=0.0)
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_temperature(self, temperature):
+        # inf would give a uniform row and NaN a NumericError later
+        with pytest.raises(UsageError, match="temperature"):
+            T.softmax_rows(T.tensor([[1.0, 2.0]]), temperature=temperature)
 
     def test_gradcheck_reports_its_fixed_step(self):
         x = T.tensor([1.0], dtype=np.float64)
@@ -199,8 +201,8 @@ class TestPropertyInvariants:
         rng = np.random.default_rng(seed)
         base = rng.normal(size=(3, 5))
         shift = rng.normal(size=(3, 1))
-        a = T.softmax_rows(T.tensor(base, dtype=np.float64))
-        b = T.softmax_rows(T.tensor(base + shift, dtype=np.float64))
+        a = T.softmax_rows(T.tensor(base, dtype=np.float64), temperature=1.0)
+        b = T.softmax_rows(T.tensor(base + shift, dtype=np.float64), temperature=1.0)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
@@ -594,7 +596,7 @@ KERNEL_CALLS = {
     "split_heads": (lambda a: T.split_heads(a, 1), [_u(3, 4)]),
     "merge_heads": (T.merge_heads, [_u(1, 3, 4)]),
     "gather_rows": (lambda a: T.gather_rows(a, [0, 1]), [_u(2, 3)]),
-    "softmax_rows": (T.softmax_rows, [_u(2, 3)]),
+    "softmax_rows": (lambda a: T.softmax_rows(a, temperature=1.0), [_u(2, 3)]),
     "gelu": (T.gelu, [_u(2, 3)]),
     "sigmoid": (T.sigmoid, [_u(2, 3)]),
     "layer_norm": (T.layer_norm, [_u(2, 3), _u(3), _u(3)]),

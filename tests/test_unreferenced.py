@@ -11,6 +11,11 @@ A name that only such a string keeps alive is tracer-only: the benchmark
 wraps it, but nothing calls it.  That set is pinned too, so the list of
 kernels the benchmark should stop wrapping (and the package then delete)
 stays accurate.
+
+The settable values are pinned the same way: every dataclass field with a
+default (``init=False`` fields excluded) and every parameter with a
+default.  A new one fails here until it is listed, so that each value a
+caller may leave out is a deliberate choice.
 """
 
 import ast
@@ -27,6 +32,30 @@ ALLOWED = {"fiedler_vector"}
 
 # Kernels that perfbench/tracer.py wraps by name but no code calls.
 TRACER_ONLY = {"div", "scale", "sum_all", "slice_last", "sum_over_axis", "batched_matmul"}
+
+SETTABLE = {
+    "block.init_block_weights.dtype", "block.init_parameters.dtype",
+    "cli.run.argv",
+    "data.blob_dataset.grid", "data.blob_dataset.ks", "data.blob_dataset.patch",
+    "data.blob_scene.grid", "data.blob_scene.patch",
+    "errors.FormatError.__init__.offset",
+    "evalkit.MetricReport.acc", "evalkit.MetricReport.iou", "evalkit.MetricReport.macc",
+    "evalkit.MetricReport.matching", "evalkit.MetricReport.max_f_beta",
+    "evalkit.MetricReport.miou", "evalkit.saliency_metrics.beta2",
+    "fileio.RunConfig.min_part_size",
+    "model.ModelConfig.channels", "model.ModelConfig.heads", "model.ModelConfig.image_size",
+    "model.ModelConfig.layers", "model.ModelConfig.num_classes",
+    "model.ModelConfig.patch_size", "model.ModelConfig.prune_schedule",
+    "model.ModelConfig.seed", "model.init_weights.dtype",
+    "pruning.PruneLedger.events",
+    "tensor.Tensor.__init__.dtype", "tensor.Tensor.__init__.requires_grad",
+    "tensor.grad_check.tolerance", "tensor.layer_norm.eps",
+    "tensor.tensor.dtype", "tensor.tensor.requires_grad",
+    "train.toy_train.batch_size", "train.toy_train.lr", "train.toy_train.seed",
+    "train.toy_train.steps",
+    "tree.DependencyTree.depth", "tree.DependencyTree.subtree",
+    "tree.aggregate_masks.ledger",
+}
 
 
 def _references(path: Path) -> tuple[set[str], set[str]]:
@@ -65,6 +94,39 @@ def _definitions_and_uses() -> tuple[set[str], set[str], set[str]]:
     return defined, code, tracer_strings
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_false(value: ast.expr) -> bool:
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords)
+
+
+def _settable(node: ast.AST, prefix: str) -> set[str]:
+    """Qualified names of the defaulted fields and parameters under ``node``."""
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        name = f"{prefix}.{getattr(child, 'name', '')}"
+        if isinstance(child, ast.ClassDef) and _is_dataclass(child):
+            out |= {f"{name}.{st.target.id}" for st in child.body
+                    if isinstance(st, ast.AnnAssign) and st.value is not None
+                    and not _init_false(st.value)}
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            out |= {f"{name}.{a.arg}" for a in positional[len(positional) - len(args.defaults):]}
+            out |= {f"{name}.{a.arg}" for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None}
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            out |= _settable(child, name)
+        else:
+            out |= _settable(child, prefix)
+    return out
+
+
 def test_unreferenced_definitions_are_allowlisted():
     defined, code, tracer_strings = _definitions_and_uses()
     assert sorted(defined - code - tracer_strings) == sorted(ALLOWED)
@@ -73,3 +135,10 @@ def test_unreferenced_definitions_are_allowlisted():
 def test_tracer_only_names_are_pinned():
     defined, code, tracer_strings = _definitions_and_uses()
     assert sorted((defined & tracer_strings) - code) == sorted(TRACER_ONLY)
+
+
+def test_settable_values_are_pinned():
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        found |= _settable(ast.parse(path.read_text()), path.stem)
+    assert sorted(found) == sorted(SETTABLE)
