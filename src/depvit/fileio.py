@@ -332,43 +332,37 @@ def load_config(path) -> RunConfig:
 
 
 def tree_to_json_dict(tree: DependencyTree) -> dict:
-    nodes = [
-        {
-            "id": int(i),
-            "parent": int(tree.parent[i]),
-            "weight": float(tree.edge_weight[i]),
-            "depth": int(tree.depth[i]),
-            "subtree": int(tree.subtree[i]),
-        }
-        for i in range(tree.size)
-    ]
-    return {"nodes": nodes, "root": int(tree.root)}
+    """The tree's arrays as JSON lists, each indexed by token."""
+    return {
+        "root": int(tree.root),
+        "parent": tree.parent.tolist(),
+        "weight": tree.edge_weight.tolist(),
+        "depth": tree.depth.tolist(),
+        "subtree": tree.subtree.tolist(),
+    }
 
 
 def tree_from_json_dict(d: dict) -> DependencyTree:
-    """Inverse of tree_to_json_dict; node ids must be exactly 0..n-1."""
+    """Inverse of tree_to_json_dict; ``depth`` is recomputed, and a missing
+    ``subtree`` leaves every node unlabeled (-1)."""
     try:
-        nodes = d["nodes"]
         root = whole_numbers(d["root"])[0]
-        ids = whole_numbers(*(node["id"] for node in nodes))
-        parent = np.array(whole_numbers(*(node["parent"] for node in nodes)), dtype=np.int64)
-        weight = np.array(real_numbers(*(node["weight"] for node in nodes)), dtype=np.float64)
-        subtree = np.array(whole_numbers(*(node.get("subtree", -1) for node in nodes)),
-                           dtype=np.int64)
+        parent = np.array(whole_numbers(*d["parent"]), dtype=np.int64)
+        weight = np.array(real_numbers(*d["weight"]), dtype=np.float64)
+        subtree = np.array(whole_numbers(*d.get("subtree", [-1] * parent.size)), dtype=np.int64)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed tree JSON: {exc}", offset=0) from exc
-    n = len(ids)
-    if sorted(ids) != list(range(n)):
-        raise FormatError(f"tree node ids must be 0..{n - 1}, each once", offset=0)
+    n = parent.size
+    if weight.size != n or subtree.size != n:
+        raise FormatError(f"tree has {n} parents, {weight.size} weights and "
+                          f"{subtree.size} subtree labels", offset=0)
     if not 0 <= root < n:
         raise FormatError(f"tree root {root} outside 0..{n - 1}", offset=0)
     if ((parent < -1) | (parent >= n)).any():
         raise FormatError("tree parent index out of range", offset=0)
     if not np.isfinite(weight).all():
         raise FormatError("tree edge weights must be finite", offset=0)
-    order = np.argsort(ids)
-    tree = DependencyTree(parent=parent[order], edge_weight=weight[order], root=root,
-                          subtree=subtree[order])
+    tree = DependencyTree(parent=parent, edge_weight=weight, root=root, subtree=subtree)
     tree.validate()
     return tree
 

@@ -620,10 +620,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Normal samples clipped to two sigmas by resampling, then scaled by 0.02."""
     x = rng.standard_normal(shape)
-    bad = np.abs(x) > 2.0
-    while bad.any():
-        x[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(x) > 2.0
+    flat = x.reshape(-1)  # a view: x is fresh and contiguous
+    bad = np.flatnonzero(np.abs(flat) > 2.0)
+    while bad.size:  # only the positions redrawn last round can still be out
+        flat[bad] = rng.standard_normal(bad.size)
+        bad = bad[np.abs(flat[bad]) > 2.0]
     return x * 0.02
 
 

@@ -15,6 +15,7 @@ import pytest
 import depvit
 
 from depvit.cli import build_parser, run
+from depvit.errors import FormatError
 from depvit.evalkit import LabelGrid, saliency_metrics
 from depvit.fileio import (
     grid_to_json_dict,
@@ -66,7 +67,27 @@ class TestParse:
         m = json.loads(mask.read_text())
         assert m["shape"] == [16, 16]
         # subtree labels were filled by the partitioning pass
-        assert all(n["subtree"] >= 0 for n in json.loads(out.read_text())["nodes"])
+        assert min(json.loads(out.read_text())["subtree"]) >= 0
+
+    @pytest.mark.parametrize("field, damage", [
+        ("parent", lambda v: v + [0]),            # one parent more than weights
+        ("weight", lambda v: v[:-1]),             # one weight short
+        ("subtree", lambda v: v[:-1]),            # one label short
+        ("root", lambda v: 16),                   # root out of range
+        ("parent", lambda v: [16] + v[1:]),       # parent out of range
+        ("weight", lambda v: [float("nan")] + v[1:]),
+        ("weight", lambda v: [float("inf")] + v[1:]),
+    ])
+    def test_written_tree_rejects_damage(self, workdir, field, damage):
+        d, cfg, weights, image = workdir
+        out = d / "tree.json"
+        assert run(["parse", "--input", str(image), "--weights", str(weights),
+                    "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        payload[field] = damage(payload[field])
+        out.write_text(json.dumps(payload))  # NaN and Infinity as Python writes them
+        with pytest.raises(FormatError):
+            tree_from_json_dict(json.loads(out.read_text()))
 
     def test_layer_selection_changes_mask(self, workdir):
         d, cfg, weights, image = workdir
@@ -94,7 +115,7 @@ class TestParse:
         out = d / "tree.json"
         assert run(["parse", "--input", str(tok), "--weights", str(weights),
                     "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(json.loads(out.read_text())["nodes"]) == 16
+        assert len(json.loads(out.read_text())["parent"]) == 16
 
     def test_single_patch_image(self, workdir, tmp_path):
         d, _, _, _ = workdir
@@ -111,8 +132,7 @@ class TestParse:
         assert run(["parse", "--input", str(image), "--weights", str(weights),
                     "--config", str(cfg), "--out", str(out)]) == 0
         tree = json.loads(out.read_text())
-        assert len(tree["nodes"]) == 1
-        assert tree["nodes"][0]["parent"] == -1
+        assert tree["parent"] == [-1]
         assert tree["root"] == 0
 
     def test_missing_weights_names_path(self, workdir, capsys):
@@ -127,7 +147,7 @@ class TestParse:
         assert run(["parse", "--input", str(image), "--weights", str(weights),
                     "--config", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "nodes" in payload
+        assert tree_from_json_dict(payload).size == 16
 
     def test_tree_at_paper_geometry(self, tmp_path):
         # 224 px in 16 px patches: the paper's 14 x 14 grid of 196 tokens

@@ -529,49 +529,85 @@ class TestTreeJson:
         back = tree_from_json_dict(tree_to_json_dict(t))
         np.testing.assert_array_equal(back.subtree, [0, 0, 1, 1])
 
+    def test_file_holds_the_arrays_in_token_order(self):
+        t = self.tree()
+        t.subtree = np.array([0, 0, 1, 1])
+        assert tree_to_json_dict(t) == {
+            "root": 1, "parent": [1, -1, 1, 2], "weight": [0.25, 1.5, 0.75, 0.125],
+            "depth": [1, 0, 1, 2], "subtree": [0, 0, 1, 1]}
+
+    def test_depth_is_recomputed_and_subtree_optional(self):
+        d = tree_to_json_dict(self.tree())
+        d["depth"] = [7, 7, 7, 7]
+        del d["subtree"]
+        back = tree_from_json_dict(d)
+        np.testing.assert_array_equal(back.depth, self.tree().depth)
+        np.testing.assert_array_equal(back.subtree, [-1, -1, -1, -1])
+
     def test_malformed_rejected(self):
         with pytest.raises(FormatError):
-            tree_from_json_dict({"nodes": [{"id": 0}], "root": 0})
+            tree_from_json_dict({"parent": [-1], "root": 0})
+        with pytest.raises(FormatError):
+            tree_from_json_dict({"parent": 5, "weight": [1.0], "root": 0})
+
+    def test_node_list_layout_rejected(self):
+        # the layout before the arrays: one object per node, keyed by id
+        t = self.tree()
+        d = {"nodes": [{"id": i, "parent": int(t.parent[i]), "weight": float(t.edge_weight[i]),
+                        "depth": int(t.depth[i]), "subtree": -1} for i in range(t.size)],
+             "root": 1}
+        with pytest.raises(FormatError):
+            tree_from_json_dict(d)
+
+    @pytest.mark.parametrize("field, value", [
+        ("parent", [1, -1, 1, 2, 2]),
+        ("parent", [1, -1, 1]),
+        ("weight", [0.25, 1.5, 0.75]),
+        ("subtree", [0, 0, 1, 1, 1]),
+        ("subtree", []),
+    ])
+    def test_arrays_must_have_equal_length(self, field, value):
+        d = tree_to_json_dict(self.tree())
+        d[field] = value
+        with pytest.raises(FormatError):
+            tree_from_json_dict(d)
 
     @pytest.mark.parametrize("field, index, value", [
         ("root", None, 4),        # root out of range
         ("root", None, -1),       # negative root must not wrap to the last node
-        ("id", 3, -1),            # negative id must not wrap to the last slot
-        ("id", 3, 0),             # duplicate id would leave slot 3 at its default
-        ("id", 3, 4),             # id out of range
         ("parent", 0, 7),         # parent out of range
+        ("parent", 0, -2),
+        ("parent", 0, 2**63),     # beyond int64
     ])
-    def test_ids_root_and_parents_must_be_in_range(self, field, index, value):
+    def test_root_and_parents_must_be_in_range(self, field, index, value):
         d = tree_to_json_dict(self.tree())
         if index is None:
             d[field] = value
         else:
-            d["nodes"][index][field] = value
+            d[field][index] = value
         with pytest.raises(FormatError):
             tree_from_json_dict(d)
 
     @pytest.mark.parametrize("field, index, value", [
         ("root", None, 1.5), ("root", None, True), ("root", None, "1"),
-        ("id", 1, True), ("id", 1, 1.5), ("id", 1, "1"),
         ("parent", 0, 1.5), ("parent", 0, "1"), ("parent", 2, True),
         ("subtree", 0, 0.5), ("subtree", 0, "0"), ("subtree", 0, False),
     ])
-    def test_ids_root_parents_and_subtrees_must_be_whole_numbers(self, field, index, value):
+    def test_root_parents_and_subtrees_must_be_whole_numbers(self, field, index, value):
         # int() would take each of these: 1.5 and True as 1, "1" as 1
         d = tree_to_json_dict(self.tree())
         if index is None:
             d[field] = value
         else:
-            d["nodes"][index][field] = value
+            d[field][index] = value
         with pytest.raises(FormatError, match="whole numbers"):
             tree_from_json_dict(d)
 
     def test_whole_floats_load_as_ints(self):
         d = tree_to_json_dict(self.tree())
         d["root"] = 1.0
-        for node in d["nodes"]:
-            node.update(id=float(node["id"]), parent=float(node["parent"]),
-                        subtree=float(node["subtree"]))
+        d["parent"] = [float(p) for p in d["parent"]]
+        d["subtree"] = [float(v) for v in d["subtree"]]
         back = tree_from_json_dict(d)
         np.testing.assert_array_equal(back.parent, self.tree().parent)
         assert back.root == 1 and type(back.root) is int
@@ -580,19 +616,13 @@ class TestTreeJson:
     def test_weights_must_be_finite_numbers(self, value):
         # float() would take "0.25" and true, and NaN or Infinity as they are
         d = tree_to_json_dict(self.tree())
-        d["nodes"][0]["weight"] = json.loads(value)
+        d["weight"][0] = json.loads(value)
         with pytest.raises(FormatError):
             tree_from_json_dict(d)
 
-    def test_nodes_may_come_in_any_order(self):
-        d = tree_to_json_dict(self.tree())
-        d["nodes"].reverse()
-        back = tree_from_json_dict(d)
-        np.testing.assert_array_equal(back.parent, self.tree().parent)
-
     def test_invalid_topology_rejected(self):
         d = tree_to_json_dict(self.tree())
-        d["nodes"][1]["parent"] = 0  # two-node cycle, no root
+        d["parent"][1] = 0  # two-node cycle, no root
         with pytest.raises(IntegrityError):
             tree_from_json_dict(d)
 
@@ -712,23 +742,23 @@ _JSON = st.recursive(
 
 @st.composite
 def tree_payloads(draw):
-    """A valid tree, then possibly one field replaced by a nearby integer."""
+    """A valid tree, then possibly one field or entry replaced by a nearby
+    integer or arbitrary JSON."""
     n = draw(st.integers(1, 5))
     order = draw(st.permutations(range(n)))
-    parent = {order[0]: -1}
+    parent = [-1] * n
     for k in range(1, n):
         parent[order[k]] = order[draw(st.integers(0, k - 1))]
-    nodes = [
-        {"id": i, "parent": parent[i], "weight": draw(st.floats()),
-         "subtree": draw(st.integers(-1, 3))}
-        for i in draw(st.permutations(range(n)))
-    ]
-    d = {"nodes": nodes, "root": order[0]}
+    d = {"root": order[0], "parent": parent,
+         "weight": draw(st.lists(st.floats(), min_size=n, max_size=n)),
+         "subtree": draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))}
     if draw(st.booleans()):
-        node = nodes[draw(st.integers(0, n - 1))]
-        key = draw(st.sampled_from(["id", "parent", "root"]))
-        target = d if key == "root" else node
-        target[key] = draw(st.integers(-2, n + 1) | _JSON)
+        key = draw(st.sampled_from(sorted(d)))
+        value = draw(st.integers(-2, n + 1) | _JSON)
+        if key != "root" and draw(st.booleans()):
+            d[key][draw(st.integers(0, n - 1))] = value
+        else:
+            d[key] = value
     return d
 
 
@@ -796,8 +826,7 @@ class TestReaderProperties:
             tree = tree_from_json_dict(payload)
         except DepvitError:
             return
-        for node in payload["nodes"]:
-            assert tree.parent[int(node["id"])] == int(node["parent"])
+        assert tree.parent.tolist() == [int(p) for p in payload["parent"]]
         text = json.dumps(tree_to_json_dict(tree))
         assert json.dumps(tree_to_json_dict(tree_from_json_dict(json.loads(text)))) == text
 

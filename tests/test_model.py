@@ -1,6 +1,7 @@
 """Tests for patch embedding, the full forward pass, blob data, and training."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from depvit.errors import ConfigError, IntegrityError, ShapeError, TrainingError
 from depvit.model import (
     LITE_SCHEDULE,
     ModelConfig,
+    ModelWeights,
     init_weights,
     model_forward,
     parameter_shapes,
     patch_embed,
 )
 from depvit.pruning import expand_state_mask, retrieve_dense
-from depvit.tensor import Tape, Tensor
+from depvit.tensor import Tape, Tensor, cross_entropy, reshape
 from depvit.train import _batch_loss, evaluate, toy_train
 from oracles import explicit_model_init
 
@@ -293,6 +295,73 @@ class TestForward:
         sizes = [st.mask.shape[0] for st in res.states]
         assert sizes == [196, 196, 160, 160, 160, 128, 128, 128, 96, 96, 96, 64]
         assert res.ledger.survivors().size == 64
+
+
+class TestWholeModelGradients:
+    """The tape's gradient of the whole pruned model, from the patch embedding
+    through the prune gather to the classifier and the loss, checked along
+    random directions over every parameter at once."""
+
+    CFG = ModelConfig(image_size=16, patch_size=4, channels=16, heads=4, layers=3,
+                      num_classes=3, prune_schedule=((2, 8),))
+    EPS = 1e-5
+    TOLERANCE = 1e-4  # the block gradient check's tolerance (criterion 3)
+
+    def loss(self, res, label):
+        return cross_entropy(reshape(res.logits, (1, self.CFG.num_classes)), [label])
+
+    def test_random_directions_match_central_differences(self):
+        # Each probe compares g.d with (L(w + eps d) - L(w - eps d)) / (2 eps)
+        # and scales the gap by |g| |d|, so a near-zero g.d cannot dominate.
+        # Where the two sides prune different tokens the loss has a kink
+        # between them; such probes are counted, not compared.
+        errors, kinks = [], 0
+        for seed in range(20):
+            cfg = replace(self.CFG, seed=seed)
+            rng = np.random.default_rng(seed)
+            weights = init_weights(cfg, dtype=np.float64)
+            image = rng.random((16, 16, 3))
+            label = int(rng.integers(cfg.num_classes))
+            params = list(weights.named_tensors().values())
+            base = [p.data.copy() for p in params]
+            with Tape() as tape:
+                res = model_forward(image, cfg, weights)
+                loss = self.loss(res, label)
+            grads = tape.gradients(loss, params)
+            g_norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
+
+            # the same weights in float32 keep the same survivors
+            narrow = ModelWeights.from_named_tensors(cfg, {
+                name: Tensor(t.data.astype(np.float32))
+                for name, t in weights.named_tensors().items()})
+            assert np.array_equal(model_forward(image, cfg, narrow).ledger.survivors(),
+                                  res.ledger.survivors()), seed
+
+            for _ in range(16):
+                d = [rng.standard_normal(b.shape) for b in base]
+                sides = []
+                for sign in (1.0, -1.0):
+                    for p, b, di in zip(params, base, d):
+                        p.data[...] = b + sign * self.EPS * di
+                    out = model_forward(image, cfg, weights)
+                    sides.append((self.loss(out, label).item(),
+                                  [e.token for e in out.ledger.events]))
+                (plus, pruned_plus), (minus, pruned_minus) = sides
+                if pruned_plus != pruned_minus:
+                    kinks += 1
+                    continue
+                gd = sum(float((g * di).sum()) for g, di in zip(grads, d))
+                d_norm = np.sqrt(sum(float((di * di).sum()) for di in d))
+                errors.append(abs(gd - (plus - minus) / (2 * self.EPS)) / (g_norm * d_norm))
+            for p, b in zip(params, base):
+                p.data[...] = b
+
+        probes = 20 * 16
+        report = (f"{kinks} of {probes} probes pruned differently at +eps and -eps; "
+                  f"worst error of the other {len(errors)}: {max(errors):.2e}")
+        print(report)
+        assert len(errors) >= 0.9 * probes, report
+        assert max(errors) <= self.TOLERANCE, report
 
 
 class TestBlobData:

@@ -28,6 +28,11 @@ def dict_event(layer, token, gate, parents):
                       np.array(list(parents.values()), dtype=np.float64))
 
 
+def json_event(**fields):
+    """One ledger event as JSON: token 0 leaves after block 1 into parent 1."""
+    return {"layer": 1, "token": 0, "gate": 0.5, "parents": [1], "shares": [1.0], **fields}
+
+
 def state_from_mask(mask, tokens=None, gate=None):
     mask = np.asarray(mask, dtype=np.float64)
     n = mask.shape[0]
@@ -155,23 +160,39 @@ class TestLedgerValidation:
         with pytest.raises(IntegrityError):
             PruneLedger.from_json_dict({"n_tokens": 4, "events": [{"layer": 1}]})
 
-    @pytest.mark.parametrize("n_tokens, parents", [
-        (3, [[1, 1.0]]),              # parents as a list of pairs, not a mapping
-        (3, {"1": float("nan")}),     # a NaN share must not pass the sum check
-        (float("inf"), {"1": 1.0}),   # n_tokens that no integer can hold
-        (10**30, {str(2**63): 1.0}),  # a parent id beyond int64
-        (10**30, {str(2**64): 1.0}),
-        (10**30, {str(10**30): 1.0}),
-        (10**30, {str(-2**63 - 1): 1.0}),
-        # int() takes each of these keys, as 11, 2 and 1
-        (20, {"1_1": 0.5, " +2 ": 0.5}),
-        (20, {"01": 1.0}),
+    @pytest.mark.parametrize("n_tokens, parents, shares", [
+        (3, [[1, 1.0]], [1.0]),             # parents as pairs, not ids
+        (3, [1], [float("nan")]),           # a NaN share must not pass the sum check
+        (float("inf"), [1], [1.0]),         # n_tokens that no integer can hold
+        (10**30, [2**63], [1.0]),           # a parent id beyond int64
+        (10**30, [2**64], [1.0]),
+        (10**30, [10**30], [1.0]),
+        (10**30, [-2**63 - 1], [1.0]),
+        (3, [True], [1.0]),                 # ids that are not whole numbers
+        (3, ["1"], [1.0]),
+        (3, [1.5], [1.0]),
+        (3, {"1": 1.0}, [1.0]),             # the old {id: share} object
+        (3, [1, 2], [1.0]),                 # one share short
+        (3, [1], [0.5, 0.5]),               # one share over
     ])
-    def test_from_json_rejects_bad_values(self, n_tokens, parents):
+    def test_from_json_rejects_bad_values(self, n_tokens, parents, shares):
         payload = {"n_tokens": n_tokens,
-                   "events": [{"layer": 1, "token": 0, "gate": 0.5, "parents": parents}]}
+                   "events": [json_event(parents=parents, shares=shares)]}
         with pytest.raises(IntegrityError):
             PruneLedger.from_json_dict(payload)
+
+    def test_from_json_rejects_a_parent_listed_twice(self):
+        # json.loads keeps the last of two equal keys, so this {id: share}
+        # object, the layout before parents and shares became lists, loaded
+        # as parents [1, 2] with shares [0.5, 0.5]
+        text = ('{"n_tokens": 4, "events": [{"layer": 1, "token": 0, "gate": 0.5,'
+                ' "parents": {"1": 0.25, "2": 0.5, "1": 0.5}}]}')
+        with pytest.raises(IntegrityError):
+            PruneLedger.from_json_dict(json.loads(text))
+        text = ('{"n_tokens": 4, "events": [{"layer": 1, "token": 0, "gate": 0.5,'
+                ' "parents": [1, 2, 1], "shares": [0.25, 0.5, 0.25]}]}')
+        with pytest.raises(IntegrityError, match="lists parent 1 twice"):
+            PruneLedger.from_json_dict(json.loads(text))
 
     @pytest.mark.parametrize("field, value", [
         ("n_tokens", True), ("n_tokens", 3.5), ("n_tokens", "3"),
@@ -180,8 +201,7 @@ class TestLedgerValidation:
     ])
     def test_from_json_rejects_counts_that_are_not_whole_numbers(self, field, value):
         # int() would take each of these: 3.5 as 3, True as 1, "3" as 3
-        payload = {"n_tokens": 3,
-                   "events": [{"layer": 1, "token": 0, "gate": 0.5, "parents": {"1": 1.0}}]}
+        payload = {"n_tokens": 3, "events": [json_event()]}
         (payload if field == "n_tokens" else payload["events"][0])[field] = value
         with pytest.raises(IntegrityError, match="whole numbers"):
             PruneLedger.from_json_dict(payload)
@@ -191,17 +211,16 @@ class TestLedgerValidation:
     def test_from_json_rejects_gates_and_shares_that_are_not_finite_numbers(
             self, field, value):
         # float() would take "1.0" and true as 1.0, and NaN as it is
-        event = {"layer": 1, "token": 0, "gate": 0.5, "parents": {"1": 1.0}}
+        event = json_event()
         if field == "gate":
             event["gate"] = json.loads(value)
         else:
-            event["parents"]["1"] = json.loads(value)
+            event["shares"][0] = json.loads(value)
         with pytest.raises(IntegrityError):
             PruneLedger.from_json_dict({"n_tokens": 3, "events": [event]})
 
     def test_from_json_takes_whole_floats(self):
-        payload = {"n_tokens": 3.0,
-                   "events": [{"layer": 1.0, "token": 2.0, "gate": 0.5, "parents": {"1": 1.0}}]}
+        payload = {"n_tokens": 3.0, "events": [json_event(layer=1.0, token=2.0)]}
         led = PruneLedger.from_json_dict(payload)
         event = led.events[0]
         assert (led.n_tokens, event.layer, event.token) == (3, 1, 2)
@@ -210,8 +229,7 @@ class TestLedgerValidation:
     def test_validation_does_not_enumerate_tokens(self):
         # a set of every token id would not fit in memory at this count, so
         # validation has to work from the events alone
-        payload = {"n_tokens": 10**30,
-                   "events": [{"layer": 1, "token": 0, "gate": 0.5, "parents": {"1": 1.0}}]}
+        payload = {"n_tokens": 10**30, "events": [json_event()]}
         assert PruneLedger.from_json_dict(payload).n_tokens == 10**30
 
 
@@ -381,9 +399,7 @@ class TestRetrieveDense:
 
     def test_row_count_is_checked_before_listing_survivors(self):
         # a ledger JSON may claim 10**30 tokens; listing them would never end
-        led = PruneLedger.from_json_dict(
-            {"n_tokens": 10**30,
-             "events": [{"layer": 1, "token": 0, "gate": 0.5, "parents": {"1": 1.0}}]})
+        led = PruneLedger.from_json_dict({"n_tokens": 10**30, "events": [json_event()]})
         with pytest.raises(IntegrityError):
             retrieve_dense(np.zeros((2, 3)), led)
 
@@ -532,7 +548,7 @@ def ledger_payloads(draw):
         layer += draw(st.integers(0, 2))
         events.append({
             "layer": layer, "token": token, "gate": draw(st.floats(0.0, 1.0)),
-            "parents": {str(t): w / sum(raw) for t, w in zip(targets, raw)},
+            "parents": targets, "shares": [w / sum(raw) for w in raw],
         })
     payload = {"n_tokens": n, "events": events}
     if draw(st.booleans()):

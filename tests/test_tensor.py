@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from depvit import NumericError, ShapeError, UsageError
 from depvit import tensor as T
-from oracles import (gelu_kernel, layer_norm_kernel, replay_tape, sigmoid_kernel,
-                     softmax_rows_kernel)
+from oracles import (_truncated_normal, gelu_kernel, layer_norm_kernel, replay_tape,
+                     sigmoid_kernel, softmax_rows_kernel)
 
 
 def randu(rng, shape, lo=-1.0, hi=1.0):
@@ -658,3 +658,17 @@ class TestKernelContract:
         gc.collect()
         assert len(tape) == 1
         assert {key for key, ref in refs.items() if ref() is not None} == KEPT_ARRAYS[name]
+
+
+class TestTruncatedNormal:
+    @pytest.mark.parametrize("shape", [(1,), (7, 5), (2, 3, 4), (192, 768), (0, 3)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_rescanning_oracle_and_leaves_the_same_generator_state(
+            self, seed, shape):
+        # redrawing only the positions still out of range draws the same
+        # numbers, in the same order, as rescanning the whole array each round
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        x, want = T.truncated_normal(ours, shape), _truncated_normal(ref, shape)
+        assert x.shape == want.shape and x.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert np.abs(x).max(initial=0.0) <= 0.04
