@@ -362,9 +362,7 @@ def tree_from_json_dict(d: dict) -> DependencyTree:
         raise FormatError("tree parent index out of range", offset=0)
     if not np.isfinite(weight).all():
         raise FormatError("tree edge weights must be finite", offset=0)
-    tree = DependencyTree(parent=parent, edge_weight=weight, root=root, subtree=subtree)
-    tree.validate()
-    return tree
+    return DependencyTree(parent=parent, edge_weight=weight, root=root, subtree=subtree)
 
 
 def tree_to_dot(tree: DependencyTree) -> str:

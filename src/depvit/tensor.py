@@ -41,6 +41,7 @@ _DT64 = np.dtype(np.float64)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LAYER_NORM_EPS = 1e-6  # added to the variance before its square root
 
 # Tensor identity on a tape: unlike id(), a serial is never reused once an
 # intermediate is freed.
@@ -555,7 +556,7 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record("sigmoid", out_data, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply per-feature gain and bias."""
     c = a.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
@@ -565,7 +566,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     # add.reduce / c is the mean np.mean computes, without its Python wrapper
     xhat = x - _reduce_sum(x, axis=-1, keepdims=True) / c
     var = _reduce_sum(xhat * xhat, axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + a.dtype.type(LAYER_NORM_EPS))
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data

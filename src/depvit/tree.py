@@ -18,32 +18,31 @@ import numpy as np
 
 from .block import AttentionState
 from .errors import IntegrityError, NumericError, UsageError
-from .pruning import expand_state_mask
+from .pruning import PruneLedger, expand_state_mask
 
 
 @dataclass
 class DependencyTree:
-    """Rooted arborescence over token indices.
+    """Rooted arborescence over token indices, checked when it is built.
 
     ``parent[i]`` is -1 exactly for the root; ``edge_weight[i]`` is the score
     of the edge into i (the root carries its root attachment score).
     ``subtree`` holds partition labels once ``partition_subtrees`` ran, -1
-    before that.
+    before that; ``depth`` is each node's hop count to the root.
     """
 
     parent: np.ndarray
     edge_weight: np.ndarray
     root: int
-    depth: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    subtree: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    subtree: np.ndarray | None = None
+    depth: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.parent = np.asarray(self.parent, dtype=np.int64)
         self.edge_weight = np.asarray(self.edge_weight, dtype=np.float64)
-        if self.depth.size == 0:
-            self.depth = _depths(self.parent, self.root)
-        if self.subtree.size == 0:
+        if self.subtree is None:
             self.subtree = np.full(self.size, -1, dtype=np.int64)
+        self.validate()
 
     @property
     def size(self) -> int:
@@ -53,34 +52,26 @@ class DependencyTree:
         return float(self.edge_weight.sum())
 
     def validate(self) -> None:
+        """Check that the arrays form one tree rooted at ``root``, and set ``depth``."""
         n = self.size
-        roots = np.where(self.parent == -1)[0]
+        if len(self.edge_weight) != n or len(self.subtree) != n:
+            raise IntegrityError(f"tree has {n} parents, {len(self.edge_weight)} edge weights "
+                                 f"and {len(self.subtree)} subtree labels")
+        roots = np.flatnonzero(self.parent == -1)
         if roots.size != 1 or roots[0] != self.root:
-            raise IntegrityError(f"tree must have exactly one root; parent array has {roots.size}")
+            raise IntegrityError(f"tree root {self.root}, but the parentless nodes are {roots[:4]}")
         if ((self.parent >= n) | (self.parent < -1)).any():
             raise IntegrityError("parent index out of range")
-        _depths(self.parent, self.root)  # raises if cyclic or disconnected
-
-
-def _depths(parent: np.ndarray, root: int) -> np.ndarray:
-    n = parent.size
-    depth = np.full(n, -1, dtype=np.int64)
-    depth[root] = 0
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for v, p in enumerate(parent):
-        if p >= 0:
-            kids[p].append(int(v))
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in kids[u]:
-            if depth[v] >= 0:  # reached twice: a cycle through the root
-                raise IntegrityError("parent links cycle through the root")
-            depth[v] = depth[u] + 1
-            stack.append(v)
-    if (depth < 0).any():
-        raise IntegrityError("graph is not a single tree rooted at the stated root")
-    return depth
+        # Pointer doubling: after k rounds up[v] is v's ancestor 2**k hops up
+        # (or the root, which points at itself) and depth[v] the hops to it.
+        up = np.where(self.parent == -1, self.root, self.parent)
+        depth = (self.parent != -1).astype(np.int64)
+        for _ in range(n.bit_length()):  # 2**rounds > n - 1, the deepest a node can be
+            depth += depth[up]
+            up = up[up]
+        if (up != self.root).any():
+            raise IntegrityError("parent links cycle without reaching the root")
+        self.depth = depth
 
 
 def _max_arborescence(w: np.ndarray, root_w: np.ndarray) -> np.ndarray:
@@ -190,17 +181,15 @@ def chu_liu_edmonds(scores: np.ndarray, root_scores: np.ndarray) -> DependencyTr
     parent = _max_arborescence(scores, root_scores)
     root = int(np.flatnonzero(parent == -1)[0])
     weight = np.where(parent == -1, root_scores, scores[parent, np.arange(n)])
-    tree = DependencyTree(parent=parent, edge_weight=weight, root=root)
-    tree.validate()
-    return tree
+    return DependencyTree(parent=parent, edge_weight=weight, root=root)
 
 
-def aggregate_masks(states: list[AttentionState], ledger=None) -> np.ndarray:
+def aggregate_masks(states: list[AttentionState], ledger: PruneLedger) -> np.ndarray:
     """Mean dependency mask over blocks, in original token coordinates.
 
-    Blocks that ran after pruning cover fewer tokens; the ledger (required
-    whenever a state is smaller than the first) expands their masks to full
-    size in float64, so only an unpruned run gives a float32 result.
+    Blocks that ran after pruning cover fewer tokens; the ledger expands
+    their masks to full size in float64, so only an unpruned run gives a
+    float32 result.
     """
     if not states:
         raise UsageError("aggregate_masks needs at least one block state")
@@ -210,8 +199,6 @@ def aggregate_masks(states: list[AttentionState], ledger=None) -> np.ndarray:
         if st.token_indices.size == n and (st.token_indices == np.arange(n)).all():
             full.append(st.mask)
         else:
-            if ledger is None:
-                raise UsageError("pruned states require the prune ledger to aggregate")
             full.append(expand_state_mask(st, ledger))
     return np.mean(np.stack(full), axis=0)
 
@@ -234,32 +221,19 @@ def partition_subtrees(tree: DependencyTree, min_size: float) -> np.ndarray:
     """
     if not (0.0 <= min_size <= 1.0):
         raise UsageError(f"min_size must be within [0, 1], got {min_size}")
-    n = tree.size
-    depth = tree.depth
-    anchor = np.empty(n, dtype=np.int64)
-    order = np.argsort(depth, kind="stable")
-    for v in order:
-        if depth[v] <= 2:
-            anchor[v] = v
-        else:
-            anchor[v] = anchor[tree.parent[v]]
+    n, depth, parent = tree.size, tree.depth, tree.parent
+    anchor = np.where(depth > 2, parent, np.arange(n))  # depth-2 ancestor, by pointer doubling
+    while (depth[anchor] > 2).any():
+        anchor = anchor[anchor]
 
+    # A merge never changes the size of another part at the same depth, so
+    # one count per depth decides every merge there.
     threshold = min_size * n
+    small = (depth == 2) & (np.bincount(anchor, minlength=n) < threshold)
+    anchor = np.where(small[anchor], parent[anchor], anchor)
+    small = (depth == 1) & (np.bincount(anchor, minlength=n) < threshold)
+    anchor = np.where(small[anchor], tree.root, anchor)
 
-    def part_size(a: int) -> int:
-        return int((anchor == a).sum())
-
-    for a in np.where(depth == 2)[0]:
-        if anchor[a] == a and part_size(a) < threshold:
-            anchor[anchor == a] = anchor[tree.parent[a]]
-    for a in np.where(depth == 1)[0]:
-        if anchor[a] == a and part_size(a) < threshold:
-            anchor[anchor == a] = tree.root
-
-    labels = np.empty(n, dtype=np.int64)
-    part_ids = np.unique(anchor)
-    first_member = np.array([np.where(anchor == a)[0][0] for a in part_ids])
-    for rank, a in enumerate(part_ids[np.argsort(first_member)]):
-        labels[anchor == a] = rank
-    tree.subtree = labels
-    return labels
+    _, first, part = np.unique(anchor, return_index=True, return_inverse=True)
+    tree.subtree = np.argsort(np.argsort(first))[part]
+    return tree.subtree

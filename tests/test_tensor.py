@@ -57,21 +57,21 @@ class TestForwardOracles:
 
     def test_layer_norm_hand_case(self):
         # x = [1,2,3]: mean 2, population var 2/3, xhat = (x-2)/sqrt(2/3 + eps)
-        eps = 1e-6
         x = T.tensor([[1.0, 2.0, 3.0]], dtype=np.float64)
         gain = T.tensor([1.0, 1.0, 1.0], dtype=np.float64)
         bias = T.tensor([0.0, 0.0, 0.0], dtype=np.float64)
-        out = T.layer_norm(x, gain, bias, eps=eps)
-        s = math.sqrt(2.0 / 3.0 + eps)
+        out = T.layer_norm(x, gain, bias)
+        s = math.sqrt(2.0 / 3.0 + T.LAYER_NORM_EPS)
         np.testing.assert_allclose(out.data, [[-1.0 / s, 0.0, 1.0 / s]], rtol=1e-12)
 
     def test_layer_norm_gain_bias(self):
         x = T.tensor([[0.0, 4.0]], dtype=np.float64)
         gain = T.tensor([2.0, 3.0], dtype=np.float64)
         bias = T.tensor([10.0, 20.0], dtype=np.float64)
-        out = T.layer_norm(x, gain, bias, eps=0.0)
-        # xhat = [-1, 1] exactly (mean 2, std 2)
-        np.testing.assert_allclose(out.data, [[8.0, 23.0]], rtol=1e-12)
+        out = T.layer_norm(x, gain, bias)
+        # mean 2, population var 4: xhat = [-2, 2] / sqrt(4 + eps)
+        h = 2.0 / math.sqrt(4.0 + T.LAYER_NORM_EPS)
+        np.testing.assert_allclose(out.data, [[10.0 - 2.0 * h, 20.0 + 3.0 * h]], rtol=1e-12)
 
     def test_gelu_reference_points(self):
         # gelu(0) = 0; gelu(x) = x * Phi(x) with Phi(1) = 0.8413447460685429

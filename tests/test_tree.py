@@ -12,7 +12,7 @@ from depvit import IntegrityError, UsageError
 from depvit.block import AttentionState
 from depvit.data import blob_dataset
 from depvit.model import ModelConfig, init_weights, model_forward
-from depvit.pruning import argmax_graph, received_mass
+from depvit.pruning import PruneLedger, argmax_graph, received_mass
 from depvit.tree import (
     DependencyTree,
     aggregate_masks,
@@ -243,7 +243,7 @@ class TestLevelRebuildOracle:
         cfg = ModelConfig(num_classes=2, seed=1)
         scene = blob_dataset(1, seed=1, grid=cfg.grid, patch=cfg.patch_size)[0]
         res = model_forward(scene.image, cfg, init_weights(cfg))
-        mask = np.asarray(aggregate_masks(res.states), dtype=np.float64)
+        mask = np.asarray(aggregate_masks(res.states, res.ledger), dtype=np.float64)
         assert mask.shape == (196, 196)
         assert_same_parents_as_level_rebuild(mask, mask.sum(axis=1))
 
@@ -257,10 +257,33 @@ class TestDependencyTreeInvariants:
         with pytest.raises(IntegrityError):
             DependencyTree(parent=np.array([-1, 2, 1]), edge_weight=np.zeros(3), root=0)
 
+    def test_out_of_range_parent_rejected(self):
+        with pytest.raises(IntegrityError):
+            DependencyTree(parent=np.array([-1, 7]), edge_weight=np.zeros(2), root=0)
+        with pytest.raises(IntegrityError):
+            DependencyTree(parent=np.array([-1, -2]), edge_weight=np.zeros(2), root=0)
+
+    @pytest.mark.parametrize("root", [-1, 1, 2, 5])
+    def test_root_other_than_the_parentless_node_rejected(self, root):
+        with pytest.raises(IntegrityError):
+            DependencyTree(parent=np.array([-1, 0]), edge_weight=np.zeros(2), root=root)
+
+    @pytest.mark.parametrize("weights, labels", [(1, 3), (4, 3), (3, 2), (3, 4)])
+    def test_arrays_of_unequal_length_rejected(self, weights, labels):
+        with pytest.raises(IntegrityError):
+            DependencyTree(parent=np.array([-1, 0, 0]), edge_weight=np.zeros(weights),
+                           root=0, subtree=np.zeros(labels, dtype=np.int64))
+
     def test_children_and_depth(self):
         tree = DependencyTree(parent=np.array([-1, 0, 0, 1]), edge_weight=np.zeros(4), root=0)
         np.testing.assert_array_equal(np.flatnonzero(tree.parent == 0), [1, 2])
         np.testing.assert_array_equal(tree.depth, [0, 1, 1, 2])
+
+    def test_depth_with_root_not_zero_and_ids_out_of_depth_order(self):
+        tree = DependencyTree(parent=np.array([2, 7, 5, 6, 2, -1, 0, 5]),
+                              edge_weight=np.zeros(8), root=5)
+        np.testing.assert_array_equal(tree.depth, [2, 2, 1, 4, 2, 0, 3, 1])
+        np.testing.assert_array_equal(tree.subtree, np.full(8, -1))
 
 
 class TestReceivedMass:
@@ -298,13 +321,13 @@ class TestReceivedMass:
 class TestAggregateMasks:
     def test_single_layer_identity(self):
         m = np.random.default_rng(0).uniform(size=(5, 5))
-        np.testing.assert_allclose(aggregate_masks([state_for(m)]), m)
+        np.testing.assert_allclose(aggregate_masks([state_for(m)], PruneLedger(n_tokens=5)), m)
 
     def test_two_layer_mean(self):
         rng = np.random.default_rng(1)
         a, b = rng.uniform(size=(4, 4)), rng.uniform(size=(4, 4))
         np.testing.assert_allclose(
-            aggregate_masks([state_for(a), state_for(b)]), (a + b) / 2.0
+            aggregate_masks([state_for(a), state_for(b)], PruneLedger(n_tokens=4)), (a + b) / 2.0
         )
 
     def test_dtype_is_float32_unpruned_and_float64_expanded(self):
@@ -316,11 +339,12 @@ class TestAggregateMasks:
             assert res.states[0].mask.dtype == np.float32
             assert aggregate_masks(res.states, res.ledger).dtype == dtype
 
-    def test_pruned_states_require_ledger(self):
+    def test_ledger_must_cover_pruned_state(self):
+        # token 1 is missing from the second state, but the ledger never pruned it
         a = np.ones((3, 3))
         b = np.ones((2, 2))
-        with pytest.raises(UsageError):
-            aggregate_masks([state_for(a), state_for(b, indices=[0, 2])])
+        with pytest.raises(IntegrityError):
+            aggregate_masks([state_for(a), state_for(b, indices=[0, 2])], PruneLedger(n_tokens=3))
 
 
 class TestPartitionSubtrees:
@@ -373,6 +397,48 @@ class TestPartitionSubtrees:
                     if tree.parent[v] == -1 or tree.parent[v] not in members
                 )
                 assert hits_top == 1  # single entry point = connected subtree
+
+    @pytest.mark.parametrize("min_size, expected", [
+        # anchors 0 (with 3 and 6), 1, 4 at depth 2; 2 and 7 at depth 1; root 5
+        (0.0, [0, 1, 2, 0, 3, 4, 0, 5]),
+        # threshold 2: {1} joins 7 and {4} joins 2; the pairs stay
+        (0.25, [0, 1, 2, 0, 2, 3, 0, 1]),
+        # threshold 2.4: then {2, 4} and {7, 1} join the root
+        (0.3, [0, 1, 1, 0, 1, 1, 0, 1]),
+        # threshold 3: {0, 3, 6} is not smaller, so it stays
+        (0.375, [0, 1, 1, 0, 1, 1, 0, 1]),
+        # threshold 3.2: {0, 3, 6} joins 2, which keeps 5 nodes; {7, 1} joins the root
+        (0.4, [0, 1, 0, 0, 0, 1, 0, 1]),
+    ])
+    def test_root_not_zero_and_ids_out_of_depth_order(self, min_size, expected):
+        # 5 -> {2 -> {0 -> 6 -> 3, 4}, 7 -> 1}
+        tree = DependencyTree(parent=np.array([2, 7, 5, 6, 2, -1, 0, 5]),
+                              edge_weight=np.zeros(8), root=5)
+        np.testing.assert_array_equal(partition_subtrees(tree, min_size=min_size), expected)
+
+    @pytest.mark.parametrize("n", [6, 1024])
+    def test_chain(self, n):
+        order = np.random.default_rng(8).permutation(n)  # order[k] sits at depth k
+        parent = np.empty(n, dtype=np.int64)
+        parent[order] = np.append(-1, order[:-1])
+        tree = DependencyTree(parent=parent, edge_weight=np.zeros(n), root=int(order[0]))
+        np.testing.assert_array_equal(tree.depth[order], np.arange(n))
+        labels = partition_subtrees(tree, min_size=0.0)
+        parts = {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(3)}
+        assert parts == {frozenset(order[:1].tolist()), frozenset(order[1:2].tolist()),
+                         frozenset(order[2:].tolist())}
+
+    @pytest.mark.parametrize("min_size, expected", [
+        (0.0, np.arange(1024)),     # every leaf keeps its own part
+        (0.002, np.zeros(1024)),    # threshold 2.048: every leaf joins the root
+    ])
+    def test_star_of_1024_tokens(self, min_size, expected):
+        n, root = 1024, 700
+        parent = np.full(n, root)
+        parent[root] = -1
+        tree = DependencyTree(parent=parent, edge_weight=np.zeros(n), root=root)
+        np.testing.assert_array_equal(tree.depth, np.where(np.arange(n) == root, 0, 1))
+        np.testing.assert_array_equal(partition_subtrees(tree, min_size=min_size), expected)
 
     def test_labels_stored_on_tree(self):
         tree = DependencyTree(parent=np.array([-1, 0]), edge_weight=np.zeros(2), root=0)

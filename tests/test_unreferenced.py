@@ -49,12 +49,11 @@ SETTABLE = {
     "model.ModelConfig.seed", "model.init_weights.dtype",
     "pruning.PruneLedger.events",
     "tensor.Tensor.__init__.dtype", "tensor.Tensor.__init__.requires_grad",
-    "tensor.grad_check.tolerance", "tensor.layer_norm.eps",
+    "tensor.grad_check.tolerance",
     "tensor.tensor.dtype", "tensor.tensor.requires_grad",
     "train.toy_train.batch_size", "train.toy_train.lr", "train.toy_train.seed",
     "train.toy_train.steps",
-    "tree.DependencyTree.depth", "tree.DependencyTree.subtree",
-    "tree.aggregate_masks.ledger",
+    "tree.DependencyTree.subtree",
 }
 
 
