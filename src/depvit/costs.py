@@ -10,9 +10,8 @@ in channels; the linear figure sometimes quoted for it is carried along as
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
-
-import numpy as np
 
 from .errors import UsageError
 from .model import ModelConfig, parameter_shapes
@@ -104,12 +103,10 @@ def model_cost(config: ModelConfig) -> CostReport:
     agg = {k: sum(getattr(lc, k) for lc in layers) for k in LAYER_COMPONENTS}
     agg.update(embedder=config.tokens * config.patch_dim * c,
                classifier=c * config.num_classes)
-    shapes = parameter_shapes(config)
-    params = sum(int(np.prod(s)) for s in shapes.values())
     report = CostReport(
         per_layer=[lc.total for lc in layers],
         total=sum(agg.values()),
-        param_count=params,
+        param_count=sum(math.prod(s) for s in parameter_shapes(config).values()),
         breakdown=agg,
         controller_claim=sum(lc.controller_claim for lc in layers),
     )

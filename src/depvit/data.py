@@ -18,6 +18,7 @@ _BASE_CHANNEL = (0.8, 0.9)   # main-channel intensity range per region color
 _OFF_CHANNEL = (0.0, 0.01)   # stray intensity on the other two channels
 WITHIN_COS_MIN = 0.95
 CROSS_COS_MAX = 0.10
+DATASET_KS = (2, 3)  # blob counts a dataset cycles through; the class is the index
 
 
 @dataclass
@@ -26,7 +27,6 @@ class BlobSample:
 
     image: np.ndarray    # (grid*patch, grid*patch, 3) float32 in [0, 1]
     labels: np.ndarray   # (grid, grid) region id per patch
-    k: int               # number of blobs
     label: int           # classification target (k minus the smallest k)
 
 
@@ -83,8 +83,7 @@ def _check_geometry(image: np.ndarray, labels: np.ndarray, patch: int) -> None:
         raise IntegrityError(f"cross-blob cosine {cross.max():.4f} above {CROSS_COS_MAX}")
 
 
-def blob_scene(k: int, rng: np.random.Generator, grid: int = 8,
-               patch: int = 16) -> BlobSample:
+def blob_scene(k: int, rng: np.random.Generator, grid: int, patch: int) -> BlobSample:
     """One k-blob scene over a grid x grid patch layout.
 
     Regions are contiguous, each at least an eighth of the grid per region
@@ -112,12 +111,11 @@ def blob_scene(k: int, rng: np.random.Generator, grid: int = 8,
     _check_geometry(image, labels, patch)
     # drawn and checked in float64, kept at the width read_ppm returns and
     # a float32 model embeds
-    return BlobSample(image=image.astype(np.float32), labels=labels, k=k, label=0)
+    return BlobSample(image=image.astype(np.float32), labels=labels, label=0)
 
 
-def blob_dataset(count: int, seed: int, ks: tuple[int, ...] = (2, 3),
-                 grid: int = 8, patch: int = 16) -> list[BlobSample]:
-    """Balanced dataset cycling through the blob counts; class = index in ks."""
+def blob_dataset(count: int, seed: int, grid: int, patch: int) -> list[BlobSample]:
+    """Balanced dataset cycling through ``DATASET_KS``; class = index there."""
     if count < 1:
         raise UsageError("count must be >= 1")
     if seed < 0:
@@ -125,8 +123,7 @@ def blob_dataset(count: int, seed: int, ks: tuple[int, ...] = (2, 3),
     rng = np.random.default_rng(seed)
     samples = []
     for i in range(count):
-        k = ks[i % len(ks)]
-        s = blob_scene(k, rng, grid=grid, patch=patch)
-        s.label = ks.index(k)
+        s = blob_scene(DATASET_KS[i % len(DATASET_KS)], rng, grid=grid, patch=patch)
+        s.label = i % len(DATASET_KS)
         samples.append(s)
     return samples

@@ -177,9 +177,7 @@ class ForwardResult:
 
     states: list[AttentionState]
     tokens: Tensor            # surviving final tokens, (S, C)
-    pooled: Tensor            # (1, C) gate-weighted mean
     logits: Tensor            # (num_classes,)
-    gates: Tensor             # final cumulative gate over survivors, (S,)
     ledger: PruneLedger       # survivors(): original index of each row of tokens
 
     @property
@@ -193,7 +191,8 @@ def model_forward(inputs, config: ModelConfig, weights: ModelWeights) -> Forward
     A 3-D array is treated as an image and embedded; a 2-D array of shape
     (N, C) is used as tokens directly (no positions re-applied).  The prune
     schedule shrinks the working set right after each listed block; states
-    keep the original indices they cover.
+    keep the original indices they cover, and the ledger of every step's
+    events is built, and so checked, once after the last block.
     """
     arr = np.asarray(inputs)
     if arr.ndim == 3:
@@ -211,7 +210,7 @@ def model_forward(inputs, config: ModelConfig, weights: ModelWeights) -> Forward
     dtype = x.dtype
     gate = tn.tensor(np.ones(n), dtype=dtype)
     survivors = np.arange(n, dtype=np.int64)
-    ledger = PruneLedger(n_tokens=n)
+    journal = []  # every prune step's events, in order
     schedule = dict(config.prune_schedule)
     states: list[AttentionState] = []
 
@@ -222,7 +221,7 @@ def model_forward(inputs, config: ModelConfig, weights: ModelWeights) -> Forward
         kept = schedule.get(layer)
         if kept is not None:
             new_survivors, events = prune_step(states, kept)
-            ledger.events.extend(events)
+            journal += events
             if new_survivors.size != survivors.size:
                 local_keep = np.where(np.isin(survivors, new_survivors))[0]
                 x = tn.gather_rows(x, local_keep)
@@ -233,7 +232,5 @@ def model_forward(inputs, config: ModelConfig, weights: ModelWeights) -> Forward
     normed = tn.layer_norm(pooled, weights.final_gain, weights.final_bias)
     logits2d = tn.add(tn.matmul(normed, weights.classifier_w), weights.classifier_b)
     logits = tn.reshape(logits2d, (config.num_classes,))
-    return ForwardResult(
-        states=states, tokens=x, pooled=pooled, logits=logits,
-        gates=gate, ledger=ledger,
-    )
+    return ForwardResult(states=states, tokens=x, logits=logits,
+                         ledger=PruneLedger(n_tokens=n, events=journal))

@@ -5,12 +5,13 @@ cumulative received mass first.  Every removal is journaled: the token's
 original index, the block after which it was dropped, its cumulative gate,
 and how its outgoing mass splits over the tokens still alive.  The journal
 is enough to rebuild dense token matrices and full-size masks afterwards.
-The journal is checked and replayed one array step per event.
+The journal is checked once, when it is built, and replayed one array step
+per event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,41 +30,18 @@ class PruneEvent:
     parents: np.ndarray  # int64 original indices, ascending alive position
     shares: np.ndarray   # float64 share of each parent, sums to 1
 
-    def validate(self, n_tokens: int) -> None:
-        if not 0 <= self.token < n_tokens:
-            raise IntegrityError(f"event token {self.token} out of range")
-        if self.layer < 1:
-            raise IntegrityError(f"event layer {self.layer} must be >= 1")
-        if not 0.0 <= self.gate <= 1.0 + 1e-6:
-            raise IntegrityError(f"event gate {self.gate} outside [0, 1]")
-        idx, wgt = self.parents, self.shares
-        if not idx.size:
-            raise IntegrityError(f"event for token {self.token} has no parents")
-        if wgt.shape != idx.shape:
-            raise IntegrityError(f"token {self.token} has {idx.size} parents, {wgt.size} shares")
-        if self.token in idx:
-            raise IntegrityError(f"token {self.token} lists itself as parent")
-        lo, hi = int(idx.min()), int(idx.max())
-        if lo < 0 or hi >= n_tokens:
-            raise IntegrityError(f"parent index {lo if lo < 0 else hi} out of range")
-        ordered = np.sort(idx)
-        twice = ordered[1:][ordered[1:] == ordered[:-1]]
-        if twice.size:
-            raise IntegrityError(f"event for token {self.token} lists parent {twice[0]} twice")
-        bad = wgt[~(np.isfinite(wgt) & (wgt >= -1e-12))]
-        if bad.size:
-            raise IntegrityError(f"parent share {bad[0]} is negative or not finite")
-        total = float(np.cumsum(wgt)[-1])  # in journal order, as a running total
-        if abs(total - 1.0) > 1e-6:
-            raise IntegrityError(f"parent shares sum to {total}, expected 1")
-
 
 @dataclass
 class PruneLedger:
-    """Ordered journal of prune events over an n-token input."""
+    """Ordered journal of prune events over an n-token input, checked when
+    it is built."""
 
     n_tokens: int
-    events: list[PruneEvent] = field(default_factory=list)
+    events: tuple[PruneEvent, ...]
+
+    def __post_init__(self):
+        self.events = tuple(self.events)
+        self.validate()
 
     def survivors(self) -> np.ndarray:
         """Ascending original indices alive after the whole schedule."""
@@ -72,20 +50,48 @@ class PruneLedger:
         return np.flatnonzero(alive)
 
     def validate(self) -> None:
-        if self.n_tokens < 1:
+        """Check each event, then that no token leaves twice, layers never go
+        back and every parent is still alive when its event happens."""
+        n = self.n_tokens
+        if n < 1:
             raise IntegrityError("ledger needs n_tokens >= 1")
         # O(events), never O(n_tokens): n_tokens may come from untrusted JSON
         seen: set[int] = set()
         last_layer = 0
         for e in self.events:
-            e.validate(self.n_tokens)
+            if not 0 <= e.token < n:
+                raise IntegrityError(f"event token {e.token} out of range")
+            if e.layer < 1:
+                raise IntegrityError(f"event layer {e.layer} must be >= 1")
+            if not 0.0 <= e.gate <= 1.0 + 1e-6:
+                raise IntegrityError(f"event gate {e.gate} outside [0, 1]")
+            idx, wgt = e.parents, e.shares
+            if not idx.size:
+                raise IntegrityError(f"event for token {e.token} has no parents")
+            if wgt.shape != idx.shape:
+                raise IntegrityError(f"token {e.token} has {idx.size} parents, {wgt.size} shares")
+            if e.token in idx:
+                raise IntegrityError(f"token {e.token} lists itself as parent")
+            lo, hi = int(idx.min()), int(idx.max())
+            if lo < 0 or hi >= n:
+                raise IntegrityError(f"parent index {lo if lo < 0 else hi} out of range")
+            ordered = np.sort(idx)
+            twice = ordered[1:][ordered[1:] == ordered[:-1]]
+            if twice.size:
+                raise IntegrityError(f"event for token {e.token} lists parent {twice[0]} twice")
+            bad = wgt[~(np.isfinite(wgt) & (wgt >= -1e-12))]
+            if bad.size:
+                raise IntegrityError(f"parent share {bad[0]} is negative or not finite")
+            total = float(np.cumsum(wgt)[-1])  # in journal order, as a running total
+            if abs(total - 1.0) > 1e-6:
+                raise IntegrityError(f"parent shares sum to {total}, expected 1")
             if e.token in seen:
                 raise IntegrityError(f"token {e.token} pruned twice")
             if e.layer < last_layer:
                 raise IntegrityError("events out of chronological order")
-            parents = e.parents.tolist()
+            parents = idx.tolist()
             if not seen.isdisjoint(parents):
-                dead = next(idx for idx in parents if idx in seen)
+                dead = next(p for p in parents if p in seen)
                 raise IntegrityError(f"event for token {e.token} references dead parent {dead}")
             seen.add(e.token)
             last_layer = e.layer
@@ -108,7 +114,7 @@ class PruneLedger:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "PruneLedger":
         try:
-            ledger = cls(
+            return cls(
                 n_tokens=whole_numbers(payload["n_tokens"])[0],
                 events=[
                     PruneEvent(
@@ -123,8 +129,6 @@ class PruneLedger:
             )
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise IntegrityError(f"malformed ledger payload: {exc}") from exc
-        ledger.validate()
-        return ledger
 
 
 def argmax_graph(mask: np.ndarray) -> np.ndarray:
@@ -218,15 +222,14 @@ def retrieve_dense(final_tokens: np.ndarray, ledger: PruneLedger) -> np.ndarray:
     """Rebuild an n_tokens x C matrix by replaying prune events backwards.
 
     Survivor rows are copied; each pruned token is reconstructed as the
-    recorded convex combination of its parents.  A validated ledger names
-    only parents that survive or leave later, so the reverse replay has
-    always rebuilt them already.
+    recorded convex combination of its parents.  A ledger names only
+    parents that survive or leave later, so the reverse replay has always
+    rebuilt them already.
     """
-    ledger.validate()
     if isinstance(final_tokens, Tensor):
         final_tokens = final_tokens.data
     final_tokens = np.asarray(final_tokens)
-    rows = ledger.n_tokens - len(ledger.events)  # validated: one new token per event
+    rows = ledger.n_tokens - len(ledger.events)  # one new token per event
     if final_tokens.ndim != 2 or final_tokens.shape[0] != rows:
         raise IntegrityError(
             f"final tokens have shape {final_tokens.shape}, ledger expects {rows} rows"

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NumericError, ShapeError, UsageError
 
@@ -77,10 +76,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -522,6 +517,10 @@ def softmax_rows(a: Tensor, temperature: float) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian error linear unit: x * Phi(x)."""
+    # Imported here, not at module level: scipy.special is most of the
+    # package's import time, and commands that run no block never need it.
+    from scipy.special import erf
+
     x = a.data
     phi = erf(x * _INV_SQRT2)
     phi += 1.0
@@ -634,7 +633,6 @@ class GradCheckReport:
     """Result of comparing tape gradients against central differences."""
 
     max_rel_error: float
-    per_input: list[float]
     tolerance: float
     step: float
     passed: bool = field(init=False)
@@ -686,4 +684,4 @@ def grad_check(
         den = max(float(np.linalg.norm(g)) + float(np.linalg.norm(fd)), 1e-12)
         errors.append(num / den)
     worst = max(errors) if errors else 0.0
-    return GradCheckReport(max_rel_error=worst, per_input=errors, tolerance=tolerance, step=step)
+    return GradCheckReport(max_rel_error=worst, tolerance=tolerance, step=step)

@@ -76,7 +76,7 @@ _toy_cache: dict = {}
 def toy_model():
     if not _toy_cache:
         samples = blob_dataset(
-            TOY_TRAIN_SCENES, seed=TOY_DATA_SEED, ks=(2, 3), grid=8, patch=16
+            TOY_TRAIN_SCENES, seed=TOY_DATA_SEED, grid=8, patch=16
         )
         result = toy_train(
             samples, TOY_CONFIG, steps=200, lr=1e-3, seed=0, batch_size=8
@@ -331,7 +331,7 @@ class TestStructureRecovery:
         with verdict(7, "halved-token agreement"):
             _, result = toy_model()
             fresh = blob_dataset(
-                100, seed=TOY_EVAL_SEED, ks=(2, 3), grid=8, patch=16
+                100, seed=TOY_EVAL_SEED, grid=8, patch=16
             )
             agree = sum(
                 model_forward(s.image, TOY_CONFIG, result.weights).prediction

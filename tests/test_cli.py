@@ -512,12 +512,22 @@ class TestUsage:
         assert o1.read_text() == o2.read_text()
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # part metrics import scipy.optimize and the Fiedler vector scipy.linalg
-    # on first use; importing the CLI must not pay for either
+def _cli_import_loads(*modules) -> bool:
+    """Whether ``import depvit.cli`` in a fresh interpreter loads any of ``modules``."""
     src = str(Path(depvit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, depvit.cli; "
-            "sys.exit('scipy.optimize' in sys.modules or 'scipy.linalg' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    code = f"import sys, depvit.cli; sys.exit(any(m in sys.modules for m in {modules!r}))"
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode != 0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # part metrics import scipy.optimize and the Fiedler vector scipy.linalg
+    # on first use; importing the CLI must not pay for either
+    assert not _cli_import_loads("scipy.optimize", "scipy.linalg")
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # gelu imports scipy.special's erf on first use, so commands that run
+    # no block (flops, the eval commands, --help) never load it
+    assert not _cli_import_loads("scipy.special")

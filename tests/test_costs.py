@@ -5,7 +5,7 @@ import pytest
 
 from depvit.costs import CostReport, layer_flops, model_cost, tokens_per_layer
 from depvit.errors import UsageError
-from depvit.model import LITE_SCHEDULE, ModelConfig
+from depvit.model import LITE_SCHEDULE, ModelConfig, parameter_shapes
 
 
 def stack_f(n, c):
@@ -81,6 +81,19 @@ class TestModelCost:
         rep = model_cost(ModelConfig())
         assert rep.param_count == 5_946_280
         assert abs(rep.param_count - 6.2e6) / 6.2e6 < 0.10
+
+    def test_param_count_is_exact_beyond_int64(self):
+        # 2**32 channels give 2**64-entry square weights, which wrap an int64
+        cfg = ModelConfig(image_size=32, patch_size=16, channels=2**32, heads=1,
+                          layers=1, num_classes=2)
+        want = 0
+        for shape in parameter_shapes(cfg).values():
+            entries = 1
+            for dim in shape:
+                entries *= dim
+            want += entries
+        assert want > 2**63
+        assert model_cost(cfg).param_count == want
 
     def test_embedder_and_classifier(self):
         rep = model_cost(ModelConfig())

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from depvit.block import block_forward
+from depvit.block import block_forward, pool_tokens
 from depvit.data import BlobSample, blob_dataset, blob_scene, patch_vectors
 from depvit.errors import ConfigError, IntegrityError, ShapeError, TrainingError, UsageError
 from depvit.model import (
@@ -19,7 +19,7 @@ from depvit.model import (
     patch_embed,
 )
 from depvit.pruning import expand_state_mask, retrieve_dense
-from depvit.tensor import Tape, Tensor, cross_entropy, reshape
+from depvit.tensor import Tape, Tensor, add, cross_entropy, layer_norm, matmul, reshape
 from depvit.train import _batch_loss, evaluate, toy_train
 from oracles import explicit_model_init
 
@@ -193,11 +193,10 @@ class TestForward:
         img = np.zeros((64, 64, 3), dtype=np.float32)
         res = model_forward(img, cfg, w)
         assert res.logits.shape == (3,)
-        assert res.pooled.shape == (1, 16)
         assert len(res.states) == 3
         for st in res.states:
             assert st.mask.shape == (16, 16)
-        assert res.ledger.events == []
+        assert res.ledger.events == ()
         assert list(res.ledger.survivors()) == list(range(16))
 
     def test_token_matrix_input_used_as_is(self):
@@ -230,20 +229,27 @@ class TestForward:
         r0 = model_forward(img, base, w)
         r1 = model_forward(img, noop, w)
         np.testing.assert_array_equal(r0.logits.data, r1.logits.data)
-        assert r1.ledger.events == []
+        assert r1.ledger.events == ()
 
     def test_pooled_is_convex_combination(self):
-        cfg = small_config()
+        cfg = small_config(prune_schedule=((1, 12), (3, 7)))
         w = init_weights(cfg)
         img = np.random.default_rng(4).random((64, 64, 3)).astype(np.float32)
         res = model_forward(img, cfg, w)
-        gates = res.gates.data
+        # the final gate over the survivors: the last block's gate, less the
+        # tokens pruned after it
+        last = res.states[-1]
+        gates = last.cumulative_gate[np.isin(last.token_indices, res.ledger.survivors())]
+        assert gates.shape == (res.tokens.shape[0],)
         assert np.all(gates > 0.0) and np.all(gates <= 1.0)
+        pooled = pool_tokens(res.tokens, Tensor(gates))
         weights = gates / gates.sum()
         manual = weights[:, None] * res.tokens.data
-        np.testing.assert_allclose(
-            res.pooled.data[0], manual.sum(axis=0), rtol=1e-5, atol=1e-6
-        )
+        np.testing.assert_allclose(pooled.data[0], manual.sum(axis=0), rtol=1e-5, atol=1e-6)
+        # and the classifier reads exactly that mean
+        normed = layer_norm(pooled, w.final_gain, w.final_bias)
+        logits = add(matmul(normed, w.classifier_w), w.classifier_b)
+        assert logits.data.reshape(-1).tobytes() == res.logits.data.tobytes()
 
     def test_cumulative_gate_monotone_across_blocks(self):
         cfg = small_config(layers=4)
@@ -366,16 +372,15 @@ class TestWholeModelGradients:
 
 class TestBlobData:
     def test_shapes_and_label(self):
-        s = blob_scene(2, np.random.default_rng(0))
+        s = blob_scene(2, np.random.default_rng(0), grid=8, patch=16)
         assert s.image.shape == (128, 128, 3)
         assert s.image.dtype == np.float32  # as read_ppm returns
         assert s.labels.shape == (8, 8)
-        assert s.k == 2
         assert set(np.unique(s.labels)) == {0, 1}
 
     def test_geometry_recomputed(self):
         for seed in range(5):
-            s = blob_scene(3, np.random.default_rng(seed))
+            s = blob_scene(3, np.random.default_rng(seed), grid=8, patch=16)
             vecs = patch_vectors(s.image, 16)
             unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
             cos = unit @ unit.T
@@ -386,9 +391,9 @@ class TestBlobData:
 
     def test_regions_are_connected(self):
         for seed in range(5):
-            s = blob_scene(3, np.random.default_rng(seed), grid=8)
+            s = blob_scene(3, np.random.default_rng(seed), grid=8, patch=16)
             labels = s.labels
-            for r in range(s.k):
+            for r in range(3):
                 cells = {(i, j) for i, j in zip(*np.where(labels == r))}
                 start = next(iter(cells))
                 seen = {start}
@@ -406,18 +411,19 @@ class TestBlobData:
         # an eighth of the 64-cell grid per region
         for k, floor in ((1, 8), (2, 4), (3, 2)):
             for seed in range(5):
-                s = blob_scene(k, np.random.default_rng(seed), grid=8)
+                s = blob_scene(k, np.random.default_rng(seed), grid=8, patch=16)
                 assert np.bincount(s.labels.ravel(), minlength=k).min() >= floor
 
     def test_too_many_regions_rejected(self):
         with pytest.raises(UsageError):
-            blob_scene(4, np.random.default_rng(0))
+            blob_scene(4, np.random.default_rng(0), grid=8, patch=16)
 
     def test_dataset_balanced_and_deterministic(self):
-        d1 = blob_dataset(8, seed=3)
-        d2 = blob_dataset(8, seed=3)
+        d1 = blob_dataset(8, seed=3, grid=8, patch=16)
+        d2 = blob_dataset(8, seed=3, grid=8, patch=16)
         assert [s.label for s in d1] == [0, 1, 0, 1, 0, 1, 0, 1]
-        assert [s.k for s in d1] == [2, 3, 2, 3, 2, 3, 2, 3]
+        # label 0 scenes hold 2 blobs, label 1 scenes 3
+        assert [len(np.unique(s.labels)) for s in d1] == [2, 3, 2, 3, 2, 3, 2, 3]
         for a, b in zip(d1, d2):
             np.testing.assert_array_equal(a.image, b.image)
 
@@ -425,7 +431,7 @@ class TestBlobData:
 class TestTraining:
     def test_zero_lr_keeps_loss_constant(self):
         cfg = small_config(image_size=128, layers=2, num_classes=2)
-        data = blob_dataset(1, seed=0)
+        data = blob_dataset(1, seed=0, grid=8, patch=16)
         res = toy_train(data, cfg, steps=3, lr=0.0, seed=0, batch_size=1)
         assert len(res.losses) == 3
         assert res.losses[0] == pytest.approx(res.losses[1], abs=1e-12)
@@ -436,20 +442,20 @@ class TestTraining:
 
     def test_negative_seed_is_usage_error(self):
         with pytest.raises(UsageError):
-            blob_dataset(1, seed=-1)
+            blob_dataset(1, seed=-1, grid=8, patch=16)
         cfg = small_config(image_size=128, layers=2, num_classes=2)
         with pytest.raises(UsageError):
-            toy_train(blob_dataset(1, seed=0), cfg, steps=1, seed=-1)
+            toy_train(blob_dataset(1, seed=0, grid=8, patch=16), cfg, steps=1, seed=-1)
 
     def test_training_reduces_loss(self):
         cfg = small_config(image_size=128, layers=2, num_classes=2)
-        data = blob_dataset(6, seed=1)
+        data = blob_dataset(6, seed=1, grid=8, patch=16)
         res = toy_train(data, cfg, steps=30, lr=3e-3, seed=0, batch_size=6)
         assert res.losses[-1] < res.losses[0]
 
     def test_single_sample_memorization(self):
         cfg = small_config(image_size=128, layers=2, num_classes=2)
-        data = blob_dataset(1, seed=2)
+        data = blob_dataset(1, seed=2, grid=8, patch=16)
         res = toy_train(data, cfg, steps=60, lr=5e-3, seed=0, batch_size=1)
         assert res.losses[-1] < 0.05
         assert evaluate(data, cfg, res.weights) == 1.0
@@ -470,7 +476,7 @@ class TestTraining:
         cfg = small_config(image_size=128, channels=32, heads=4, layers=4, num_classes=2)
         weights = init_weights(cfg)
         params = list(weights.named_tensors().values())
-        data = blob_dataset(8, seed=0)
+        data = blob_dataset(8, seed=0, grid=8, patch=16)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -491,8 +497,8 @@ class TestTraining:
         # a float64 copy of each scene trains to the same bytes
         cfg = small_config(image_size=128, layers=2, num_classes=2,
                            prune_schedule=((1, 48),))
-        data = blob_dataset(6, seed=5)
-        wide = [BlobSample(image=s.image.astype(np.float64), labels=s.labels, k=s.k,
+        data = blob_dataset(6, seed=5, grid=8, patch=16)
+        wide = [BlobSample(image=s.image.astype(np.float64), labels=s.labels,
                            label=s.label) for s in data]
         runs = [toy_train(d, cfg, steps=3, lr=3e-3, seed=2, batch_size=3) for d in (data, wide)]
         assert runs[0].losses == runs[1].losses
@@ -503,14 +509,14 @@ class TestTraining:
 
     def test_divergence_raises_training_error(self):
         cfg = small_config(image_size=128, layers=2, num_classes=2)
-        data = blob_dataset(1, seed=0)
+        data = blob_dataset(1, seed=0, grid=8, patch=16)
         with pytest.raises(TrainingError):
             with np.errstate(over="ignore", invalid="ignore"):
                 toy_train(data, cfg, steps=5, lr=1e12, seed=0, batch_size=1)
 
     def test_deterministic_given_seed(self):
         cfg = small_config(image_size=128, layers=2, num_classes=2)
-        data = blob_dataset(4, seed=4)
+        data = blob_dataset(4, seed=4, grid=8, patch=16)
         r1 = toy_train(data, cfg, steps=4, lr=1e-3, seed=9, batch_size=2)
         r2 = toy_train(data, cfg, steps=4, lr=1e-3, seed=9, batch_size=2)
         np.testing.assert_array_equal(r1.losses, r2.losses)

@@ -61,77 +61,73 @@ def hand_mask_four_tokens():
 
 class TestPruneEventValidation:
     def test_good_event_passes(self):
-        dict_event(layer=1, token=0, gate=0.5, parents={1: 0.5, 2: 0.5}).validate(4)
+        PruneLedger(4, [dict_event(layer=1, token=0, gate=0.5, parents={1: 0.5, 2: 0.5})])
 
     def test_token_out_of_range(self):
         with pytest.raises(IntegrityError):
-            dict_event(layer=1, token=4, gate=0.5, parents={1: 1.0}).validate(4)
+            PruneLedger(4, [dict_event(layer=1, token=4, gate=0.5, parents={1: 1.0})])
 
     def test_layer_below_one(self):
         with pytest.raises(IntegrityError):
-            dict_event(layer=0, token=0, gate=0.5, parents={1: 1.0}).validate(4)
+            PruneLedger(4, [dict_event(layer=0, token=0, gate=0.5, parents={1: 1.0})])
 
     def test_gate_above_one(self):
         with pytest.raises(IntegrityError):
-            dict_event(layer=1, token=0, gate=1.5, parents={1: 1.0}).validate(4)
+            PruneLedger(4, [dict_event(layer=1, token=0, gate=1.5, parents={1: 1.0})])
 
     def test_empty_parents(self):
         with pytest.raises(IntegrityError):
-            dict_event(layer=1, token=0, gate=0.5, parents={}).validate(4)
+            PruneLedger(4, [dict_event(layer=1, token=0, gate=0.5, parents={})])
 
     def test_self_parent(self):
         with pytest.raises(IntegrityError):
-            dict_event(layer=1, token=0, gate=0.5, parents={0: 1.0}).validate(4)
+            PruneLedger(4, [dict_event(layer=1, token=0, gate=0.5, parents={0: 1.0})])
 
     def test_shares_must_sum_to_one(self):
         with pytest.raises(IntegrityError):
-            dict_event(layer=1, token=0, gate=0.5, parents={1: 0.7, 2: 0.7}).validate(4)
+            PruneLedger(4, [dict_event(layer=1, token=0, gate=0.5, parents={1: 0.7, 2: 0.7})])
 
     def test_duplicate_parent(self):
         # a dict could not hold this; expand_state_mask would drop one share
         ev = PruneEvent(1, 0, 0.5, np.array([2, 1, 2]), np.array([0.25, 0.5, 0.25]))
         with pytest.raises(IntegrityError, match="lists parent 2 twice"):
-            ev.validate(4)
+            PruneLedger(4, [ev])
 
     def test_one_share_per_parent(self):
         ev = PruneEvent(1, 0, 0.5, np.array([1, 2]), np.array([1.0]))
         with pytest.raises(IntegrityError, match="2 parents, 1 shares"):
-            ev.validate(4)
+            PruneLedger(4, [ev])
 
 
 class TestLedgerValidation:
     def test_duplicate_token_rejected(self):
-        led = PruneLedger(n_tokens=3, events=[
-            dict_event(1, 0, 1.0, {1: 1.0}),
-            dict_event(2, 0, 1.0, {1: 1.0}),
-        ])
         with pytest.raises(IntegrityError):
-            led.validate()
+            PruneLedger(n_tokens=3, events=[
+                dict_event(1, 0, 1.0, {1: 1.0}),
+                dict_event(2, 0, 1.0, {1: 1.0}),
+            ])
 
     def test_layers_must_be_chronological(self):
-        led = PruneLedger(n_tokens=4, events=[
-            dict_event(3, 0, 1.0, {1: 1.0}),
-            dict_event(1, 2, 1.0, {1: 1.0}),
-        ])
         with pytest.raises(IntegrityError):
-            led.validate()
+            PruneLedger(n_tokens=4, events=[
+                dict_event(3, 0, 1.0, {1: 1.0}),
+                dict_event(1, 2, 1.0, {1: 1.0}),
+            ])
 
     def test_parent_must_be_alive_at_event(self):
         # token 1 leaves first, then token 0 claims it as a parent
-        led = PruneLedger(n_tokens=3, events=[
-            dict_event(1, 1, 1.0, {2: 1.0}),
-            dict_event(2, 0, 1.0, {1: 1.0}),
-        ])
         with pytest.raises(IntegrityError):
-            led.validate()
+            PruneLedger(n_tokens=3, events=[
+                dict_event(1, 1, 1.0, {2: 1.0}),
+                dict_event(2, 0, 1.0, {1: 1.0}),
+            ])
 
     def test_same_layer_order_is_event_order(self):
         # within one layer, earlier events die before later ones
-        led = PruneLedger(n_tokens=3, events=[
+        PruneLedger(n_tokens=3, events=[
             dict_event(1, 1, 1.0, {2: 1.0}),
             dict_event(1, 0, 1.0, {2: 1.0}),
         ])
-        led.validate()
 
     def test_survivors_and_pruned(self):
         led = PruneLedger(n_tokens=4, events=[
@@ -145,9 +141,7 @@ class TestLedgerValidation:
             dict_event(1, 2, 0.75, {0: 0.25, 3: 0.75}),
             dict_event(2, 0, 0.5, {1: 1.0}),
         ])
-        led.validate()
         back = PruneLedger.from_json_dict(led.to_json_dict())
-        back.validate()
         assert back.to_json_dict() == led.to_json_dict()
         for e, f in zip(led.events, back.events):
             assert f.parents.dtype == np.int64 and f.shares.dtype == np.float64
@@ -407,11 +401,11 @@ class TestRetrieveDense:
         # token 3 leaves first naming 0 as parent; then 0 leaves.  During
         # reverse replay 0 is rebuilt after 3 needs it, which must fail
         # ledger validation (chronology is fine, coverage is the issue).
+        # Parents were alive at event time, so the ledger builds.
         led = PruneLedger(n_tokens=4, events=[
             dict_event(1, 3, 1.0, {0: 1.0}),
             dict_event(2, 0, 1.0, {1: 1.0}),
         ])
-        led.validate()  # parents were alive at event time, so this is legal
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = retrieve_dense(x, led)
         # 0 is rebuilt first (last event), then 3 copies it
@@ -521,7 +515,6 @@ class TestExpandMask:
     def test_token_count_must_match_state(self, n_tokens):
         # one state token plus one token pruned before the block make 2
         led = PruneLedger(n_tokens=n_tokens, events=[dict_event(1, 0, 1.0, {1: 1.0})])
-        led.validate()
         with pytest.raises(IntegrityError):
             expand_state_mask(state_from_mask([[0.0]], tokens=[1]), led)
 
@@ -576,9 +569,9 @@ _ODD_GATES = [float("nan"), float("inf"), -0.1, 1.0 + 5e-7, 1.0 + 2e-6]
 
 @st.composite
 def journals(draw):
-    """A valid journal, then maybe one edit of a kind validation checks;
-    some edits, such as a share of -1e-13 or a layer kept in order, stay
-    valid."""
+    """The token count and events of a valid journal, then maybe one edit of
+    a kind validation checks; some edits, such as a share of -1e-13 or a
+    layer kept in order, stay valid."""
     n = draw(st.integers(2, 8))
     alive = list(range(n))
     events = []
@@ -595,9 +588,9 @@ def journals(draw):
         ["none", "share", "parent id", "n_tokens", "self parent", "dead parent",
          "layer", "token", "gate", "empty", "scale", "duplicate", "share count"]))
     if kind == "none":
-        return PruneLedger(n, events)
+        return n, events
     if kind == "n_tokens":
-        return PruneLedger(draw(st.integers(-1, n + 1)), events)
+        return draw(st.integers(-1, n + 1)), events
     e = draw(st.sampled_from(events))
     i = draw(st.integers(0, e.parents.size - 1))
     if kind == "share":
@@ -620,20 +613,21 @@ def journals(draw):
         e.parents, e.shares = np.append(e.parents, e.parents[i]), np.append(e.shares, 0.0)
     elif kind == "share count":
         e.shares = np.delete(e.shares, i)
-    return PruneLedger(n, events)
+    return n, events
 
 
 class TestLedgerValidationOracle:
     @given(journals())
     @settings(max_examples=600, deadline=None)
-    def test_raises_exactly_when_the_entry_loop_does(self, ledger):
+    def test_raises_exactly_when_the_entry_loop_does(self, journal):
         """The array checks agree with the per-entry reference loop; any
         other exception, such as an OverflowError, fails the property."""
-        if ledger_fault(ledger.n_tokens, ledger.events) is None:
-            ledger.validate()
+        n_tokens, events = journal
+        if ledger_fault(n_tokens, events) is None:
+            PruneLedger(n_tokens, events)
         else:
             with pytest.raises(IntegrityError):
-                ledger.validate()
+                PruneLedger(n_tokens, events)
 
 
 class TestJournalScale:
@@ -643,7 +637,7 @@ class TestJournalScale:
         # 896 events with about half a million parent entries
         rng = np.random.default_rng(11)
         survivors = np.arange(1024)
-        states, ledger = [], PruneLedger(n_tokens=1024)
+        states, journal = [], []
         t0 = time.monotonic()
         for kept in (768, 512, 256, 128):
             s = survivors.size
@@ -651,8 +645,8 @@ class TestJournalScale:
             np.fill_diagonal(mask, 0.0)
             states.append(state_from_mask(mask, tokens=survivors, gate=rng.uniform(size=s)))
             survivors, events = prune_step(states, kept)
-            ledger.events.extend(events)
-        ledger.validate()
+            journal += events
+        ledger = PruneLedger(n_tokens=1024, events=journal)
         final = rng.standard_normal((128, 8))
         dense = retrieve_dense(final, ledger)
         full = expand_state_mask(states[-1], ledger)

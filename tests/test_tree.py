@@ -321,13 +321,15 @@ class TestReceivedMass:
 class TestAggregateMasks:
     def test_single_layer_identity(self):
         m = np.random.default_rng(0).uniform(size=(5, 5))
-        np.testing.assert_allclose(aggregate_masks([state_for(m)], PruneLedger(n_tokens=5)), m)
+        np.testing.assert_allclose(
+            aggregate_masks([state_for(m)], PruneLedger(n_tokens=5, events=())), m)
 
     def test_two_layer_mean(self):
         rng = np.random.default_rng(1)
         a, b = rng.uniform(size=(4, 4)), rng.uniform(size=(4, 4))
         np.testing.assert_allclose(
-            aggregate_masks([state_for(a), state_for(b)], PruneLedger(n_tokens=4)), (a + b) / 2.0
+            aggregate_masks([state_for(a), state_for(b)], PruneLedger(n_tokens=4, events=())),
+            (a + b) / 2.0,
         )
 
     def test_dtype_is_float32_unpruned_and_float64_expanded(self):
@@ -344,7 +346,8 @@ class TestAggregateMasks:
         a = np.ones((3, 3))
         b = np.ones((2, 2))
         with pytest.raises(IntegrityError):
-            aggregate_masks([state_for(a), state_for(b, indices=[0, 2])], PruneLedger(n_tokens=3))
+            aggregate_masks([state_for(a), state_for(b, indices=[0, 2])],
+                            PruneLedger(n_tokens=3, events=()))
 
 
 class TestPartitionSubtrees:

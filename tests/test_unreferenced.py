@@ -16,6 +16,10 @@ The settable values are pinned the same way: every dataclass field with a
 default (``init=False`` fields excluded) and every parameter with a
 default.  A new one fails here until it is listed, so that each value a
 caller may leave out is a deliberate choice.
+
+Every dataclass field needs a reader too: ``.name`` must appear in
+``src/`` or ``perfbench/``.  Classes whose fields are read all at once,
+through ``fields()`` or ``asdict()``, are allowlisted instead.
 """
 
 import ast
@@ -33,11 +37,13 @@ ALLOWED = {"fiedler_vector"}
 # Kernels that perfbench/tracer.py wraps by name but no code calls.
 TRACER_ONLY = {"div", "scale", "sum_all", "slice_last", "sum_over_axis", "batched_matmul"}
 
+# Dataclasses read field by field through fields() or asdict().
+WHOLE_READ = {"BlockWeights", "ModelWeights", "ModelConfig", "LayerCost", "CostReport",
+              "MetricReport"}
+
 SETTABLE = {
     "block.init_block_weights.dtype", "block.init_parameters.dtype",
     "cli.run.argv",
-    "data.blob_dataset.grid", "data.blob_dataset.ks", "data.blob_dataset.patch",
-    "data.blob_scene.grid", "data.blob_scene.patch",
     "errors.FormatError.__init__.offset",
     "evalkit.MetricReport.acc", "evalkit.MetricReport.iou", "evalkit.MetricReport.macc",
     "evalkit.MetricReport.matching", "evalkit.MetricReport.max_f_beta",
@@ -47,7 +53,6 @@ SETTABLE = {
     "model.ModelConfig.layers", "model.ModelConfig.num_classes",
     "model.ModelConfig.patch_size", "model.ModelConfig.prune_schedule",
     "model.ModelConfig.seed", "model.init_weights.dtype",
-    "pruning.PruneLedger.events",
     "tensor.Tensor.__init__.dtype", "tensor.Tensor.__init__.requires_grad",
     "tensor.grad_check.tolerance",
     "tensor.tensor.dtype", "tensor.tensor.requires_grad",
@@ -141,3 +146,20 @@ def test_settable_values_are_pinned():
     for path in PACKAGE.glob("*.py"):
         found |= _settable(ast.parse(path.read_text()), path.stem)
     assert sorted(found) == sorted(SETTABLE)
+
+
+def test_dataclass_fields_have_readers():
+    read = {node.attr
+            for base in ("src", "perfbench")
+            for path in (ROOT / base).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    unread = {
+        f"{path.stem}.{node.name}.{st.target.id}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node) and node.name not in WHOLE_READ
+        for st in node.body
+        if isinstance(st, ast.AnnAssign) and st.target.id not in read
+    }
+    assert sorted(unread) == []
