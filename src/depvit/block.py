@@ -142,12 +142,12 @@ def message_controller(x_norm: Tensor, gate_w1: Tensor, gate_w2: Tensor,
 
 
 def reverse_compose(attn: Tensor, head_probs: Tensor,
-                    gate_cum: Tensor) -> tuple[Tensor, Tensor]:
+                    gate_cum: Tensor) -> tuple[Tensor, np.ndarray]:
     """Per-head send weights and the soft dependency mask.
 
     send_rows[h][0][i] = head_probs[i][h] * gate_cum[i] is taped; the mask,
-    mask[j][i] = sum_h attn[h][i][j] * send_rows[h][0][i], is computed from
-    the attention data and returned untaped, since no loss reads it.
+    mask[j][i] = sum_h attn[h][i][j] * send_rows[h][0][i], is one contraction
+    over heads of the attention data, a plain array, since no loss reads it.
     Column i then carries how token i splits its outgoing mass over
     candidate parents j, and no renormalization is applied afterwards.
     """
@@ -155,8 +155,9 @@ def reverse_compose(attn: Tensor, head_probs: Tensor,
     h = attn.shape[0]
     send = tn.mul(head_probs, tn.reshape(gate_cum, (n, 1)))  # (N, H)
     send_rows = tn.reshape(tn.transpose_last2(send), (h, 1, n))
-    sent_mass = attn.data * send_rows.data.reshape(h, n, 1)  # row i scaled by its sender
-    mask = Tensor(np.ascontiguousarray(sent_mass.sum(axis=0).T))
+    # Plain einsum adds heads in order (optimize=True does not); the copy makes
+    # it C-ordered, so the row sums that pick the tokens to prune keep their order.
+    mask = np.ascontiguousarray(np.einsum("hij,ih->ji", attn.data, send.data))
     return send_rows, mask
 
 
@@ -186,7 +187,7 @@ def block_forward(x: Tensor, weights: BlockWeights,
     send_rows, mask = reverse_compose(attn, probs, gate_cum)
     head_out = send_messages(attn, values, send_rows)
     state = AttentionState(
-        mask=mask.data,
+        mask=mask,
         cumulative_gate=gate_cum.data.copy(),
         token_indices=np.arange(n, dtype=np.int64),
     )

@@ -62,6 +62,9 @@ class CostReport:
     breakdown: dict[str, int]
     controller_claim: int
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.total != sum(self.breakdown.values()):
             raise UsageError("cost breakdown does not sum to the total")
@@ -103,12 +106,10 @@ def model_cost(config: ModelConfig) -> CostReport:
     agg = {k: sum(getattr(lc, k) for lc in layers) for k in LAYER_COMPONENTS}
     agg.update(embedder=config.tokens * config.patch_dim * c,
                classifier=c * config.num_classes)
-    report = CostReport(
+    return CostReport(
         per_layer=[lc.total for lc in layers],
         total=sum(agg.values()),
         param_count=sum(math.prod(s) for s in parameter_shapes(config).values()),
         breakdown=agg,
         controller_claim=sum(lc.controller_claim for lc in layers),
     )
-    report.validate()
-    return report

@@ -24,6 +24,17 @@ class LabelGrid:
 
     labels: np.ndarray
 
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.ndim != 2:
+            raise ShapeError("label grid must be 2-D")
+        if self.labels.size == 0:
+            raise ShapeError("label grid has no cells")
+        vals = np.unique(self.labels)
+        parts = vals[vals >= 0]
+        if vals[0] < -1 or not np.array_equal(parts, np.arange(parts.size)):
+            raise ShapeError("labels must be -1 or dense 0..m-1")
+
     @property
     def width(self) -> int:
         return self.labels.shape[1]
@@ -34,21 +45,7 @@ class LabelGrid:
 
     @classmethod
     def from_labels(cls, labels: np.ndarray) -> "LabelGrid":
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 2:
-            raise ShapeError("label grid must be 2-D")
-        g = cls(labels=labels)
-        g.validate()
-        return g
-
-    def validate(self) -> None:
-        if self.labels.size == 0:
-            raise ShapeError("label grid has no cells")
-        vals = np.unique(self.labels)
-        vals = vals[vals >= 0]
-        if vals.size and (self.labels.min() < -1
-                          or not np.array_equal(vals, np.arange(vals.size))):
-            raise ShapeError("labels must be -1 or dense 0..m-1")
+        return cls(labels=labels)
 
 
 @dataclass
@@ -61,6 +58,9 @@ class MetricReport:
     iou: float | None = None
     acc: float | None = None
     matching: list[tuple[int, int]] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         for f in fields(self):
@@ -145,13 +145,11 @@ def part_metrics(pred: LabelGrid, gt: LabelGrid) -> MetricReport:
     scores = inter / (inter.sum(axis=1)[:, None] + gt_size[None, :] - inter)
     pairs = [(a, b) for a, b in hungarian_match(scores) if scores[a, b] > 0.0]
     ref_order = sorted(pairs, key=lambda ab: ab[1])
-    report = MetricReport(
+    return MetricReport(
         miou=sum(float(scores[a, b]) for a, b in ref_order) / g,
         macc=sum(float(inter[a, b] / gt_size[b]) for a, b in ref_order) / g,
         matching=[(int(pred_ids[a]), int(gt_ids[b])) for a, b in pairs],
     )
-    report.validate()
-    return report
 
 
 def fiedler_vector(affinity: np.ndarray) -> np.ndarray:
@@ -224,6 +222,4 @@ def saliency_metrics(pred: np.ndarray, gt: np.ndarray, beta2: float = 0.3) -> Me
     inter = np.count_nonzero(b & g)
     iou = inter / union if union else 1.0
     acc = float(np.mean(b == g))
-    report = MetricReport(max_f_beta=best_f, iou=iou, acc=acc)
-    report.validate()
-    return report
+    return MetricReport(max_f_beta=best_f, iou=iou, acc=acc)

@@ -189,18 +189,20 @@ def aggregate_masks(states: list[AttentionState], ledger: PruneLedger) -> np.nda
 
     Blocks that ran after pruning cover fewer tokens; the ledger expands
     their masks to full size in float64, so only an unpruned run gives a
-    float32 result.
+    float32 result.  A running sum keeps one expanded mask alive at a time.
     """
     if not states:
         raise UsageError("aggregate_masks needs at least one block state")
     n = int(states[0].token_indices.size)
-    full = []
-    for st in states:
-        if st.token_indices.size == n and (st.token_indices == np.arange(n)).all():
-            full.append(st.mask)
-        else:
-            full.append(expand_state_mask(st, ledger))
-    return np.mean(np.stack(full), axis=0)
+    whole = [st.token_indices.size == n and (st.token_indices == np.arange(n)).all()
+             for st in states]
+    dtype = np.result_type(*(st.mask.dtype if w else np.float64
+                             for st, w in zip(states, whole)))
+    total = np.zeros((n, n), dtype=dtype)  # np.add.reduce starts from +0.0 too
+    for st, w in zip(states, whole):
+        total += st.mask if w else expand_state_mask(st, ledger)
+    total /= len(states)
+    return total
 
 
 def induce_tree(mask: np.ndarray) -> DependencyTree:

@@ -195,7 +195,7 @@ class TestInvariants:
                 open_gate = tn.tensor(np.ones(n), dtype=np.float64)
                 _, mask = reverse_compose(attn, probs, open_gate)
                 np.testing.assert_allclose(
-                    mask.data.sum(axis=0), np.ones(n), atol=1e-6
+                    mask.sum(axis=0), np.ones(n), atol=1e-6
                 )
 
             # Cumulative gates never increase across the stack.

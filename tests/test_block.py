@@ -105,27 +105,37 @@ class TestReverseComposition:
         v = tn.tensor([[[1.0, 2.0], [3.0, -1.0]]], dtype=np.float64)
         send_rows, mask = reverse_compose(a, p, m)
         np.testing.assert_array_equal(send_rows.data, [[[0.5, 2.0]]])
-        np.testing.assert_allclose(mask.data, [[0.35, 0.8], [0.15, 1.2]], rtol=1e-12)
+        np.testing.assert_allclose(mask, [[0.35, 0.8], [0.15, 1.2]], rtol=1e-12)
         np.testing.assert_allclose(send_messages(a, v, send_rows).data,
                                    [[[2.75, -0.1], [3.75, -0.9]]], rtol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("heads, n", [(1, 1), (1, 5), (4, 1), (4, 6), (3, 7)])
+    @pytest.mark.parametrize("heads, n", [
+        (1, 1), (1, 5), (4, 1), (4, 6), (3, 7), (2, 40), (6, 64), (9, 97), (12, 150),
+        (1, 200), (12, 200), pytest.param(12, 1024, marks=pytest.mark.slow),
+    ])
     def test_mask_is_byte_equal_to_the_head_sum_oracle(self, dtype, heads, n):
         rng = np.random.default_rng(heads * 10 + n)
         attn = rng.uniform(0.0, 1.0, size=(heads, n, n)).astype(dtype)
         probs = rng.uniform(0.0, 1.0, size=(n, heads)).astype(dtype)
         gate = rng.uniform(0.0, 1.0, size=n).astype(dtype)
+        tiny = np.finfo(dtype).smallest_subnormal  # subnormal and -0.0 entries
+        attn.flat[::5] = tiny * rng.integers(1, 1000, size=attn.flat[::5].size)
+        attn.flat[1::7] = -0.0
+        probs.flat[::3] = tiny * 7
         send = (probs * gate[:, None]).T
         with tn.Tape():
             send_rows, mask = reverse_compose(*(tn.Tensor(a, requires_grad=True)
                                                 for a in (attn, probs, gate)))
-        assert send_rows.requires_grad and not mask.requires_grad  # no loss reads the mask
+        assert send_rows.requires_grad
+        assert type(mask) is np.ndarray  # untaped: no loss reads the mask
         assert send_rows.data.tobytes() == send.tobytes()
-        want = reversed_mask(attn, send)
-        assert mask.data.dtype == want.dtype and mask.data.shape == want.shape
-        assert mask.data.flags.c_contiguous
-        assert mask.data.tobytes() == want.tobytes()
+        # The oracle keeps a -0.0 where every head's term is -0.0; the
+        # contraction sums from +0.0.
+        want = reversed_mask(attn, send) + 0.0
+        assert mask.dtype == want.dtype and mask.shape == want.shape
+        assert mask.flags.c_contiguous
+        assert mask.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_columns_sum_to_gate(self, seed):
@@ -139,7 +149,7 @@ class TestReverseComposition:
         probs = head_selector(xn, bw.w_head)
         m = tn.tensor(rng.uniform(0.1, 1.0, size=6), dtype=np.float64)
         _, mask = reverse_compose(attn, probs, m)
-        np.testing.assert_allclose(mask.data.sum(axis=0), m.data, atol=1e-12)
+        np.testing.assert_allclose(mask.sum(axis=0), m.data, atol=1e-12)
 
     def test_single_head_unit_gate_is_column_stochastic(self):
         rng = np.random.default_rng(3)
@@ -151,7 +161,7 @@ class TestReverseComposition:
         np.testing.assert_allclose(probs.data, np.ones((5, 1)))  # one head
         ones = tn.tensor(np.ones(5), dtype=np.float64)
         _, mask = reverse_compose(attn, probs, ones)
-        np.testing.assert_allclose(mask.data.sum(axis=0), np.ones(5), atol=1e-6)
+        np.testing.assert_allclose(mask.sum(axis=0), np.ones(5), atol=1e-6)
 
     def test_mask_entry_bounded_by_sender_gate(self):
         rng = np.random.default_rng(4)
@@ -162,7 +172,7 @@ class TestReverseComposition:
         probs = head_selector(xn, bw.w_head)
         m = tn.tensor(rng.uniform(0.0, 1.0, size=7), dtype=np.float64)
         _, mask = reverse_compose(attn, probs, m)
-        assert (mask.data <= m.data[None, :] + 1e-6).all()
+        assert (mask <= m.data[None, :] + 1e-6).all()
 
 
 class TestBlockForward:

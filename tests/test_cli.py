@@ -417,7 +417,7 @@ class TestUsage:
             assert run(["eval-parts", "--pred", str(p), "--gt", str(p)]) == 2
         assert "int64" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("labels", [[[0, 2]], [[-3, 0]]])
+    @pytest.mark.parametrize("labels", [[[0, 2]], [[-3, 0]], [[-5, -7]]])
     def test_part_labels_must_be_dense(self, tmp_path, capsys, labels):
         p = tmp_path / "g.json"
         write_json(p, {"width": 2, "height": 1, "labels": labels})

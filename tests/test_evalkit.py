@@ -35,6 +35,10 @@ class TestLabelGrid:
         with pytest.raises(ShapeError):
             grid([[0, -2], [0, 1]])
 
+    def test_rejects_below_ignore_without_parts(self):
+        with pytest.raises(ShapeError):
+            grid([[-5, -7], [-2, -3]])
+
     def test_rejects_one_dimensional(self):
         with pytest.raises(ShapeError):
             LabelGrid.from_labels(np.array([0, 1]))
@@ -47,6 +51,12 @@ class TestLabelGrid:
             LabelGrid.from_labels(empty)
         with pytest.raises(ShapeError, match="no cells"):
             saliency_metrics(empty, empty)
+
+
+class TestMetricReport:
+    def test_out_of_range_score_raises_at_construction(self):
+        with pytest.raises(UsageError, match="miou"):
+            MetricReport(miou=1.5)
 
 
 class TestHungarian:

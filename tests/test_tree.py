@@ -1,6 +1,7 @@
 """Tree induction against exhaustive enumeration and hand-worked cases."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 from depvit import IntegrityError, UsageError
 from depvit.block import AttentionState
 from depvit.data import blob_dataset
-from depvit.model import ModelConfig, init_weights, model_forward
-from depvit.pruning import PruneLedger, argmax_graph, received_mass
+from depvit.model import LITE_SCHEDULE, ModelConfig, init_weights, model_forward
+from depvit.pruning import PruneLedger, argmax_graph, expand_state_mask, received_mass
 from depvit.tree import (
     DependencyTree,
     aggregate_masks,
@@ -340,6 +341,33 @@ class TestAggregateMasks:
             res = model_forward(img, cfg, init_weights(cfg))
             assert res.states[0].mask.dtype == np.float32
             assert aggregate_masks(res.states, res.ledger).dtype == dtype
+
+    @pytest.mark.parametrize("schedule, dtype", [
+        ((), np.float32), (LITE_SCHEDULE, np.float32), ((), np.float64),
+    ], ids=["unpruned", "lite", "float64-model"])
+    def test_matches_the_mean_of_the_stacked_masks(self, schedule, dtype):
+        cfg = ModelConfig(image_size=224, patch_size=16, channels=16, heads=4,
+                          layers=12, num_classes=2, seed=2, prune_schedule=schedule)
+        img = np.random.default_rng(5).random((224, 224, 3)).astype(np.float32)
+        res = model_forward(img, cfg, init_weights(cfg, dtype=dtype))
+        full = [st.mask if st.token_indices.size == cfg.tokens
+                else expand_state_mask(st, res.ledger) for st in res.states]
+        want = np.mean(np.stack(full), axis=0)
+        got = aggregate_masks(res.states, res.ledger)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_peak_memory_stays_below_three_masks(self):
+        n = 400
+        rng = np.random.default_rng(6)
+        states = [state_for(rng.random((n, n))) for _ in range(12)]
+        ledger = PruneLedger(n_tokens=n, events=())
+        tracemalloc.start()
+        try:
+            aggregate_masks(states, ledger)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
 
     def test_ledger_must_cover_pruned_state(self):
         # token 1 is missing from the second state, but the ledger never pruned it

@@ -39,7 +39,7 @@ TRACER_ONLY = {"div", "scale", "sum_all", "slice_last", "sum_over_axis", "batche
 
 # Dataclasses read field by field through fields() or asdict().
 WHOLE_READ = {"BlockWeights", "ModelWeights", "ModelConfig", "LayerCost", "CostReport",
-              "MetricReport"}
+              "MetricReport", "GradCheckReport"}
 
 SETTABLE = {
     "block.init_block_weights.dtype", "block.init_parameters.dtype",
