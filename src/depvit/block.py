@@ -84,8 +84,8 @@ class AttentionState:
 
     ``mask[j][i]`` is the soft dependency weight of candidate parent j for
     child i; columns are indexed by sender.  ``token_indices`` maps local
-    rows/columns back to positions in the original token grid (identity
-    until pruning shrinks the working set).
+    rows/columns back to positions in the original token grid, strictly
+    ascending (identity until pruning shrinks the working set).
     """
 
     mask: np.ndarray             # (N, N) sent mass, summed over heads

@@ -220,13 +220,12 @@ def model_forward(inputs, config: ModelConfig, weights: ModelWeights) -> Forward
         states.append(state)
         kept = schedule.get(layer)
         if kept is not None:
-            new_survivors, events = prune_step(states, kept)
+            keep, events = prune_step(states, kept)
             journal += events
-            if new_survivors.size != survivors.size:
-                local_keep = np.where(np.isin(survivors, new_survivors))[0]
-                x = tn.gather_rows(x, local_keep)
-                gate = tn.gather_rows(gate, local_keep)
-                survivors = new_survivors
+            if events:  # an unpruned step tapes no gather
+                x = tn.gather_rows(x, keep)
+                gate = tn.gather_rows(gate, keep)
+                survivors = survivors[keep]
 
     pooled = pool_tokens(x, gate)
     normed = tn.layer_norm(pooled, weights.final_gain, weights.final_bias)

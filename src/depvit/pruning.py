@@ -3,10 +3,11 @@
 Pruning removes only leaves of the current argmax dependency graph, lowest
 cumulative received mass first.  Every removal is journaled: the token's
 original index, the block after which it was dropped, its cumulative gate,
-and how its outgoing mass splits over the tokens still alive.  The journal
-is enough to rebuild dense token matrices and full-size masks afterwards.
-The journal is checked once, when it is built, and replayed one array step
-per event.
+and how its outgoing mass splits over the tokens still alive.  Who is alive
+follows from the event order, so an event stores only the shares.  The
+journal is enough to rebuild dense token matrices and full-size masks
+afterwards.  It is checked once, when it is built, and replayed one array
+step per event.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ from .tensor import Tensor
 
 @dataclass(eq=False)
 class PruneEvent:
-    """One pruned token: who, when, and where its mass went."""
+    """One pruned token: who, when, and where its mass went.
 
-    layer: int           # block (1-based) after which the token left
-    token: int           # original token index
-    gate: float          # cumulative gate at prune time
-    parents: np.ndarray  # int64 original indices, ascending alive position
-    shares: np.ndarray   # float64 share of each parent, sums to 1
+    ``shares[j]`` belongs to the j-th token, in ascending original index,
+    that is still alive right after this event: those are its parents.
+    """
+
+    layer: int          # block (1-based) after which the token left
+    token: int          # original token index
+    gate: float         # cumulative gate at prune time
+    shares: np.ndarray  # float64, one per token alive after the event, sums to 1
 
 
 @dataclass
@@ -50,35 +54,26 @@ class PruneLedger:
         return np.flatnonzero(alive)
 
     def validate(self) -> None:
-        """Check each event, then that no token leaves twice, layers never go
-        back and every parent is still alive when its event happens."""
+        """Check each event, then that no token leaves twice and layers never
+        go back.  Event k leaves n_tokens - k - 1 tokens alive, one share each."""
         n = self.n_tokens
         if n < 1:
             raise IntegrityError("ledger needs n_tokens >= 1")
         # O(events), never O(n_tokens): n_tokens may come from untrusted JSON
         seen: set[int] = set()
         last_layer = 0
-        for e in self.events:
+        for k, e in enumerate(self.events):
             if not 0 <= e.token < n:
                 raise IntegrityError(f"event token {e.token} out of range")
             if e.layer < 1:
                 raise IntegrityError(f"event layer {e.layer} must be >= 1")
             if not 0.0 <= e.gate <= 1.0 + 1e-6:
                 raise IntegrityError(f"event gate {e.gate} outside [0, 1]")
-            idx, wgt = e.parents, e.shares
-            if not idx.size:
-                raise IntegrityError(f"event for token {e.token} has no parents")
-            if wgt.shape != idx.shape:
-                raise IntegrityError(f"token {e.token} has {idx.size} parents, {wgt.size} shares")
-            if e.token in idx:
-                raise IntegrityError(f"token {e.token} lists itself as parent")
-            lo, hi = int(idx.min()), int(idx.max())
-            if lo < 0 or hi >= n:
-                raise IntegrityError(f"parent index {lo if lo < 0 else hi} out of range")
-            ordered = np.sort(idx)
-            twice = ordered[1:][ordered[1:] == ordered[:-1]]
-            if twice.size:
-                raise IntegrityError(f"event for token {e.token} lists parent {twice[0]} twice")
+            wgt = e.shares
+            alive = n - k - 1
+            if alive < 1 or wgt.shape != (alive,):
+                raise IntegrityError(f"event {k} for token {e.token} has {wgt.size} shares; "
+                                     f"{alive} tokens are alive after it")
             bad = wgt[~(np.isfinite(wgt) & (wgt >= -1e-12))]
             if bad.size:
                 raise IntegrityError(f"parent share {bad[0]} is negative or not finite")
@@ -89,10 +84,6 @@ class PruneLedger:
                 raise IntegrityError(f"token {e.token} pruned twice")
             if e.layer < last_layer:
                 raise IntegrityError("events out of chronological order")
-            parents = idx.tolist()
-            if not seen.isdisjoint(parents):
-                dead = next(p for p in parents if p in seen)
-                raise IntegrityError(f"event for token {e.token} references dead parent {dead}")
             seen.add(e.token)
             last_layer = e.layer
 
@@ -104,7 +95,6 @@ class PruneLedger:
                     "layer": e.layer,
                     "token": e.token,
                     "gate": e.gate,
-                    "parents": e.parents.tolist(),
                     "shares": e.shares.tolist(),
                 }
                 for e in self.events
@@ -114,19 +104,27 @@ class PruneLedger:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "PruneLedger":
         try:
-            return cls(
+            ledger = cls(
                 n_tokens=whole_numbers(payload["n_tokens"])[0],
                 events=[
                     PruneEvent(
                         *whole_numbers(e["layer"], e["token"]),
                         gate=real_numbers(e["gate"])[0],
-                        # OverflowError beyond int64
-                        parents=np.array(whole_numbers(*e["parents"]), dtype=np.int64),
                         shares=np.array(real_numbers(*e["shares"]), dtype=np.float64),
                     )
                     for e in payload["events"]
                 ],
             )
+            if any("parents" in e for e in payload["events"]):  # an earlier layout's key
+                # it must name whom the shares follow; event 0's n_tokens - 1 shares bound this
+                alive = np.ones(ledger.n_tokens, dtype=bool)
+                for e, raw in zip(ledger.events, payload["events"]):
+                    alive[e.token] = False
+                    if "parents" in raw and (whole_numbers(*raw["parents"])
+                                             != np.flatnonzero(alive).tolist()):
+                        raise IntegrityError(f"event for token {e.token} lists parents "
+                                             "that are not the ascending tokens alive after it")
+            return ledger
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise IntegrityError(f"malformed ledger payload: {exc}") from exc
 
@@ -170,10 +168,13 @@ def prune_step(states: list[AttentionState],
     during a round wait for the next one.  Non-leaves are never removed, so
     if the graph's cycles alone exceed ``kept`` the step fails rather than
     break the guarantee.  Events are tagged with layer ``len(states)``.
+    Returns the ascending local positions of the tokens kept, and the events.
     """
     if not states:
         raise UsageError("prune_step needs at least one block state")
     survivors = np.asarray(states[-1].token_indices, dtype=np.int64)
+    if np.any(np.diff(survivors) <= 0):  # shares follow ascending original index
+        raise UsageError("latest state's token_indices must be strictly ascending")
     s = survivors.size
     mask = states[-1].mask
     if mask.shape != (s, s):
@@ -183,7 +184,7 @@ def prune_step(states: list[AttentionState],
     if kept < 1:
         raise UsageError(f"kept must be >= 1, got {kept}")
     if kept == s:
-        return survivors.copy(), []
+        return np.arange(s), []
 
     scores = received_mass(states)[survivors]
     parent = argmax_graph(mask)
@@ -207,7 +208,6 @@ def prune_step(states: list[AttentionState],
                 layer=len(states),
                 token=int(survivors[v]),
                 gate=float(states[-1].cumulative_gate[v]),
-                parents=survivors[local],
                 # divided in the mask's dtype, then widened exactly; an all-zero
                 # column splits evenly, so every event carries a distribution
                 shares=(sent / total).astype(np.float64) if total > 1e-12
@@ -215,16 +215,15 @@ def prune_step(states: list[AttentionState],
             ))
             child_count[parent[v]] -= 1
 
-    return survivors[alive], events
+    return np.flatnonzero(alive), events
 
 
 def retrieve_dense(final_tokens: np.ndarray, ledger: PruneLedger) -> np.ndarray:
     """Rebuild an n_tokens x C matrix by replaying prune events backwards.
 
     Survivor rows are copied; each pruned token is reconstructed as the
-    recorded convex combination of its parents.  A ledger names only
-    parents that survive or leave later, so the reverse replay has always
-    rebuilt them already.
+    recorded convex combination of the tokens alive right after it left,
+    which the reverse replay has always rebuilt already.
     """
     if isinstance(final_tokens, Tensor):
         final_tokens = final_tokens.data
@@ -236,14 +235,17 @@ def retrieve_dense(final_tokens: np.ndarray, ledger: PruneLedger) -> np.ndarray:
         )
     c = final_tokens.shape[1]
     out = np.zeros((ledger.n_tokens, c), dtype=final_tokens.dtype)
-    out[ledger.survivors()] = final_tokens
+    alive = np.zeros(ledger.n_tokens, dtype=bool)
+    alive[ledger.survivors()] = True
+    out[alive] = final_tokens
     for e in reversed(ledger.events):
-        terms = e.shares[:, None] * out[e.parents]  # float64 whatever the token dtype
+        terms = e.shares[:, None] * out[alive]  # float64 whatever the token dtype
         # parents are added one by one in journal order: a sum over axis 0 adds
         # whole rows in order, but a single column is summed pairwise, so it takes
         # the last prefix sum; + 0.0 makes a -0.0 total +0.0, as a zero-started sum would
         total = np.add.reduce(terms, axis=0) if c != 1 else np.cumsum(terms[:, 0])[-1:]
         out[e.token] = total + 0.0
+        alive[e.token] = True
     return out
 
 
@@ -252,18 +254,23 @@ def expand_state_mask(state: AttentionState, ledger: PruneLedger) -> np.ndarray:
 
     Survivor entries are copied; each token pruned before the block gets its
     outgoing column reinstated as cached gate times its recorded parent
-    distribution, which preserves every column's total sent mass.  The state's
-    tokens plus those pruned before it must be exactly the ledger's n_tokens.
+    distribution, which preserves every column's total sent mass.  Those
+    tokens are the ledger's first n_tokens - s events for an s-token state,
+    and the tokens they leave alive must be exactly the state's.
     """
     idx = state.token_indices
-    alive = set(idx.tolist())
-    gone = [e for e in ledger.events if e.token not in alive]  # pruned before the block
     n = ledger.n_tokens
-    if idx.size != state.mask.shape[0] or n != idx.size + len(gone):
-        raise IntegrityError(f"a {idx.size}-token state with a {state.mask.shape} mask and "
-                             f"{len(gone)} tokens pruned before it do not make {n} tokens")
+    gone = n - idx.size  # events before the block
+    if state.mask.shape != (idx.size, idx.size) or not 0 <= gone <= len(ledger.events):
+        raise IntegrityError(f"a {idx.size}-token state with a {state.mask.shape} mask does "
+                             f"not fit a {n}-token ledger of {len(ledger.events)} events")
     full = np.zeros((n, n), dtype=np.float64)
+    alive = np.ones(n, dtype=bool)
+    for e in ledger.events[:gone]:
+        alive[e.token] = False
+        full[:, e.token][alive] = e.gate * e.shares  # faster than full[alive, e.token]
+    if not np.array_equal(np.flatnonzero(alive), idx):
+        raise IntegrityError(f"the {idx.size} tokens alive after the ledger's first {gone} "
+                             "events are not the state's tokens")
     full[np.ix_(idx, idx)] = state.mask
-    for e in gone:
-        full[e.parents, e.token] = e.gate * e.shares
     return full

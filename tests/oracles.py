@@ -166,40 +166,71 @@ def dense_fiedler(w: np.ndarray) -> np.ndarray:
     return f / np.linalg.norm(f)
 
 
+def ledger_parents(ledger) -> list[np.ndarray]:
+    """Each event's parents: the ascending ids of every token still alive
+    right after it, from Python sets over the whole token range."""
+    alive = set(range(ledger.n_tokens))
+    out = []
+    for e in ledger.events:
+        alive.discard(e.token)
+        out.append(np.array(sorted(alive), dtype=np.int64))
+    return out
+
+
+def explicit_retrieve_dense(final_tokens, ledger) -> np.ndarray:
+    """Reverse replay that gathers each event's parents by id, as the
+    ledger did when every event stored its ``parents``."""
+    n = ledger.n_tokens
+    c = final_tokens.shape[1]
+    out = np.zeros((n, c), dtype=final_tokens.dtype)
+    out[sorted(set(range(n)) - {e.token for e in ledger.events})] = final_tokens
+    for e, parents in zip(reversed(ledger.events), reversed(ledger_parents(ledger))):
+        terms = e.shares[:, None] * out[parents]
+        total = np.add.reduce(terms, axis=0) if c != 1 else np.cumsum(terms[:, 0])[-1:]
+        out[e.token] = total + 0.0
+    return out
+
+
+def explicit_expand_state_mask(state, ledger) -> np.ndarray:
+    """Full-size mask that writes each column pruned before the block at its
+    parents' ids, the tokens before the block picked with a Python set."""
+    idx = state.token_indices
+    alive = set(idx.tolist())
+    n = ledger.n_tokens
+    full = np.zeros((n, n), dtype=np.float64)
+    full[np.ix_(idx, idx)] = state.mask
+    for e, parents in zip(ledger.events, ledger_parents(ledger)):
+        if e.token not in alive:
+            full[parents, e.token] = e.gate * e.shares
+    return full
+
+
 def ledger_fault(n_tokens: int, events) -> str | None:
     """First fault of a prune journal, or None when it is valid.
 
     The reference for ``PruneLedger.validate``: one Python pass over every
-    event and every parent entry.  ``events`` are objects with ``layer``,
-    ``token``, ``gate`` and ``parents`` and ``shares`` arrays of original
-    index and share.
+    event and every share, with the alive tokens held as a set.  ``events``
+    are objects with ``layer``, ``token``, ``gate`` and a ``shares`` array,
+    one share per token alive right after the event.
     """
     if n_tokens < 1:
         return "ledger needs n_tokens >= 1"
+    alive = set(range(n_tokens))
     seen = set()
     last_layer = 0
     for e in events:
-        parents = e.parents.tolist()
+        shares = e.shares.tolist()
         if not 0 <= e.token < n_tokens:
             return f"event token {e.token} out of range"
         if e.layer < 1:
             return f"event layer {e.layer} must be >= 1"
         if not 0.0 <= e.gate <= 1.0 + 1e-6:
             return f"event gate {e.gate} outside [0, 1]"
-        if not parents:
-            return f"event for token {e.token} has no parents"
-        if len(e.shares) != len(parents):
-            return f"token {e.token} has {len(parents)} parents, {len(e.shares)} shares"
-        if e.token in parents:
-            return f"token {e.token} lists itself as parent"
+        alive.discard(e.token)
+        if not alive or len(shares) != len(alive):
+            return f"token {e.token} has {len(shares)} shares for {len(alive)} alive tokens"
         total = 0.0
-        listed = set()
-        for idx, wgt in zip(parents, e.shares.tolist()):
-            if not 0 <= idx < n_tokens:
-                return f"parent index {idx} out of range"
-            if idx in listed:
-                return f"event for token {e.token} lists parent {idx} twice"
-            listed.add(idx)
+        for wgt in shares:
             if not np.isfinite(wgt) or wgt < -1e-12:
                 return f"parent share {wgt} is negative or not finite"
             total += wgt
@@ -209,9 +240,6 @@ def ledger_fault(n_tokens: int, events) -> str | None:
             return f"token {e.token} pruned twice"
         if e.layer < last_layer:
             return "events out of chronological order"
-        for idx in parents:
-            if idx in seen:
-                return f"event for token {e.token} references dead parent {idx}"
         seen.add(e.token)
         last_layer = e.layer
     return None

@@ -269,6 +269,17 @@ class TestForward:
         res = model_forward(img, cfg, w)
         assert res.prediction == int(np.argmax(res.logits.data))
 
+    def test_unpruned_step_tapes_no_gather(self):
+        img = np.random.default_rng(7).random((64, 64, 3)).astype(np.float32)
+        lengths = []
+        for schedule in ((), ((1, 16), (2, 16))):
+            cfg = small_config(prune_schedule=schedule)
+            with Tape() as tape:
+                res = model_forward(img, cfg, init_weights(cfg))
+            lengths.append(len(tape))
+            assert res.ledger.events == ()
+        assert lengths[0] == lengths[1]
+
     def test_retrieval_round_trip_after_pruning(self):
         cfg = small_config(prune_schedule=((2, 10),))
         w = init_weights(cfg)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from depvit.block import AttentionState
 from depvit.errors import DepvitError, IntegrityError, UsageError
 from depvit.fileio import write_json
-from depvit.model import ModelConfig, init_weights, model_forward
+from depvit.model import LITE_SCHEDULE, ModelConfig, init_weights, model_forward
 from depvit.pruning import (
     PruneEvent,
     PruneLedger,
@@ -19,18 +19,47 @@ from depvit.pruning import (
     prune_step,
     retrieve_dense,
 )
-from oracles import ledger_fault
+from oracles import (
+    explicit_expand_state_mask,
+    explicit_retrieve_dense,
+    ledger_fault,
+    ledger_parents,
+)
 
 
-def dict_event(layer, token, gate, parents):
-    """A PruneEvent from a {parent id: share} dict, in the dict's order."""
-    return PruneEvent(layer, token, gate, np.array(list(parents), dtype=np.int64),
-                      np.array(list(parents.values()), dtype=np.float64))
+def event(layer, token, gate, *shares):
+    """A PruneEvent whose shares go, in order, to the tokens alive after it."""
+    return PruneEvent(layer, token, gate, np.array(shares, dtype=np.float64))
 
 
 def json_event(**fields):
-    """One ledger event as JSON: token 0 leaves after block 1 into parent 1."""
-    return {"layer": 1, "token": 0, "gate": 0.5, "parents": [1], "shares": [1.0], **fields}
+    """One event of a 3-token ledger as JSON: token 0 leaves after block 1
+    and splits its mass evenly over tokens 1 and 2."""
+    return {"layer": 1, "token": 0, "gate": 0.5, "shares": [0.5, 0.5], **fields}
+
+
+# A ledger as ``depvit prune`` wrote it while events still listed their
+# parents: 9 tokens (48 px, C=8, H=2, L=3, seed 3), keeping 6 and then 4
+# after blocks 1 and 2.
+PR19_LEDGER = (
+    '{"n_tokens": 9, "events": ['
+    '{"layer": 1, "token": 6, "gate": 0.5007322430610657, "parents": [0, 1, 2, 3, 4, 5, 7, '
+    '8], "shares": [0.1249684989452362, 0.12510564923286438, 0.12500888109207153, '
+    '0.12496836483478546, 0.12491867691278458, 0.12495319545269012, 0.12507009506225586, '
+    '0.12500664591789246]}, '
+    '{"layer": 1, "token": 4, "gate": 0.5006901621818542, "parents": [0, 1, 2, 3, 5, 7, 8], '
+    '"shares": [0.1428079754114151, 0.14296521246433258, 0.142852321267128, '
+    '0.1428070217370987, 0.1427903175354004, 0.14292560517787933, 0.1428515762090683]}, '
+    '{"layer": 1, "token": 5, "gate": 0.5007633566856384, "parents": [0, 1, 2, 3, 7, 8], '
+    '"shares": [0.1665966808795929, 0.16678354144096375, 0.16664698719978333, '
+    '0.16659270226955414, 0.16673430800437927, 0.1666458249092102]}, '
+    '{"layer": 2, "token": 3, "gate": 0.2503077983856201, "parents": [0, 1, 2, 7, 8], '
+    '"shares": [0.20003291964530945, 0.20006421208381653, 0.19991883635520935, '
+    '0.2000143826007843, 0.19996961951255798]}, '
+    '{"layer": 2, "token": 2, "gate": 0.25033289194107056, "parents": [0, 1, 7, 8], '
+    '"shares": [0.2500200867652893, 0.2500525414943695, 0.24998979270458221, '
+    '0.24993763864040375]}]}'
+)
 
 
 def state_from_mask(mask, tokens=None, gate=None):
@@ -61,91 +90,77 @@ def hand_mask_four_tokens():
 
 class TestPruneEventValidation:
     def test_good_event_passes(self):
-        PruneLedger(4, [dict_event(layer=1, token=0, gate=0.5, parents={1: 0.5, 2: 0.5})])
+        PruneLedger(4, [event(1, 0, 0.5, 0.5, 0.5, 0.0)])
 
     def test_token_out_of_range(self):
         with pytest.raises(IntegrityError):
-            PruneLedger(4, [dict_event(layer=1, token=4, gate=0.5, parents={1: 1.0})])
+            PruneLedger(4, [event(1, 4, 0.5, 1.0, 0.0, 0.0)])
 
     def test_layer_below_one(self):
         with pytest.raises(IntegrityError):
-            PruneLedger(4, [dict_event(layer=0, token=0, gate=0.5, parents={1: 1.0})])
+            PruneLedger(4, [event(0, 0, 0.5, 1.0, 0.0, 0.0)])
 
     def test_gate_above_one(self):
         with pytest.raises(IntegrityError):
-            PruneLedger(4, [dict_event(layer=1, token=0, gate=1.5, parents={1: 1.0})])
-
-    def test_empty_parents(self):
-        with pytest.raises(IntegrityError):
-            PruneLedger(4, [dict_event(layer=1, token=0, gate=0.5, parents={})])
-
-    def test_self_parent(self):
-        with pytest.raises(IntegrityError):
-            PruneLedger(4, [dict_event(layer=1, token=0, gate=0.5, parents={0: 1.0})])
+            PruneLedger(4, [event(1, 0, 1.5, 1.0, 0.0, 0.0)])
 
     def test_shares_must_sum_to_one(self):
         with pytest.raises(IntegrityError):
-            PruneLedger(4, [dict_event(layer=1, token=0, gate=0.5, parents={1: 0.7, 2: 0.7})])
+            PruneLedger(4, [event(1, 0, 0.5, 0.7, 0.7, 0.0)])
 
-    def test_duplicate_parent(self):
-        # a dict could not hold this; expand_state_mask would drop one share
-        ev = PruneEvent(1, 0, 0.5, np.array([2, 1, 2]), np.array([0.25, 0.5, 0.25]))
-        with pytest.raises(IntegrityError, match="lists parent 2 twice"):
-            PruneLedger(4, [ev])
+    @pytest.mark.parametrize("shares", [(1.0,), (0.5, 0.25, 0.25), ()])
+    def test_one_share_per_token_alive_after_it(self, shares):
+        # the second of four tokens to leave leaves two alive
+        with pytest.raises(IntegrityError, match="2 tokens are alive after it"):
+            PruneLedger(4, [event(1, 0, 0.5, 1.0, 0.0, 0.0), event(1, 1, 0.5, *shares)])
 
-    def test_one_share_per_parent(self):
-        ev = PruneEvent(1, 0, 0.5, np.array([1, 2]), np.array([1.0]))
-        with pytest.raises(IntegrityError, match="2 parents, 1 shares"):
-            PruneLedger(4, [ev])
+    def test_last_token_cannot_leave(self):
+        # after event k, n_tokens - k - 1 tokens are alive; the last event
+        # must leave at least one to carry its mass
+        with pytest.raises(IntegrityError, match="0 tokens are alive"):
+            PruneLedger(2, [event(1, 0, 0.5, 1.0), event(1, 1, 0.5)])
 
 
 class TestLedgerValidation:
     def test_duplicate_token_rejected(self):
         with pytest.raises(IntegrityError):
             PruneLedger(n_tokens=3, events=[
-                dict_event(1, 0, 1.0, {1: 1.0}),
-                dict_event(2, 0, 1.0, {1: 1.0}),
+                event(1, 0, 1.0, 1.0, 0.0),
+                event(2, 0, 1.0, 1.0),
             ])
 
     def test_layers_must_be_chronological(self):
         with pytest.raises(IntegrityError):
             PruneLedger(n_tokens=4, events=[
-                dict_event(3, 0, 1.0, {1: 1.0}),
-                dict_event(1, 2, 1.0, {1: 1.0}),
-            ])
-
-    def test_parent_must_be_alive_at_event(self):
-        # token 1 leaves first, then token 0 claims it as a parent
-        with pytest.raises(IntegrityError):
-            PruneLedger(n_tokens=3, events=[
-                dict_event(1, 1, 1.0, {2: 1.0}),
-                dict_event(2, 0, 1.0, {1: 1.0}),
+                event(3, 0, 1.0, 1.0, 0.0, 0.0),
+                event(1, 2, 1.0, 1.0, 0.0),
             ])
 
     def test_same_layer_order_is_event_order(self):
         # within one layer, earlier events die before later ones
         PruneLedger(n_tokens=3, events=[
-            dict_event(1, 1, 1.0, {2: 1.0}),
-            dict_event(1, 0, 1.0, {2: 1.0}),
+            event(1, 1, 1.0, 0.0, 1.0),
+            event(1, 0, 1.0, 1.0),
         ])
 
     def test_survivors_and_pruned(self):
         led = PruneLedger(n_tokens=4, events=[
-            dict_event(1, 2, 1.0, {0: 1.0}),
-            dict_event(3, 0, 1.0, {1: 0.5, 3: 0.5}),
+            event(1, 2, 1.0, 1.0, 0.0, 0.0),
+            event(3, 0, 1.0, 0.5, 0.5),
         ])
         assert list(led.survivors()) == [1, 3]
 
     def test_json_round_trip(self):
         led = PruneLedger(n_tokens=4, events=[
-            dict_event(1, 2, 0.75, {0: 0.25, 3: 0.75}),
-            dict_event(2, 0, 0.5, {1: 1.0}),
+            event(1, 2, 0.75, 0.25, 0.0, 0.75),
+            event(2, 0, 0.5, 1.0, 0.0),
         ])
-        back = PruneLedger.from_json_dict(led.to_json_dict())
-        assert back.to_json_dict() == led.to_json_dict()
+        payload = led.to_json_dict()
+        assert [sorted(e) for e in payload["events"]] == [["gate", "layer", "shares", "token"]] * 2
+        back = PruneLedger.from_json_dict(payload)
+        assert back.to_json_dict() == payload
         for e, f in zip(led.events, back.events):
-            assert f.parents.dtype == np.int64 and f.shares.dtype == np.float64
-            assert f.parents.tobytes() == e.parents.tobytes()
+            assert f.shares.dtype == np.float64
             assert f.shares.tobytes() == e.shares.tobytes()
 
     def test_from_json_rejects_malformed(self):
@@ -154,38 +169,69 @@ class TestLedgerValidation:
         with pytest.raises(IntegrityError):
             PruneLedger.from_json_dict({"n_tokens": 4, "events": [{"layer": 1}]})
 
-    @pytest.mark.parametrize("n_tokens, parents, shares", [
-        (3, [[1, 1.0]], [1.0]),             # parents as pairs, not ids
-        (3, [1], [float("nan")]),           # a NaN share must not pass the sum check
-        (float("inf"), [1], [1.0]),         # n_tokens that no integer can hold
-        (10**30, [2**63], [1.0]),           # a parent id beyond int64
-        (10**30, [2**64], [1.0]),
-        (10**30, [10**30], [1.0]),
-        (10**30, [-2**63 - 1], [1.0]),
-        (3, [True], [1.0]),                 # ids that are not whole numbers
-        (3, ["1"], [1.0]),
-        (3, [1.5], [1.0]),
-        (3, {"1": 1.0}, [1.0]),             # the old {id: share} object
-        (3, [1, 2], [1.0]),                 # one share short
-        (3, [1], [0.5, 0.5]),               # one share over
+    @pytest.mark.parametrize("n_tokens, shares", [
+        (2, [float("nan")]),                # a NaN share must not pass the sum check
+        (float("inf"), [1.0]),              # n_tokens that no integer can hold
+        (3, [[1, 1.0]]),                    # shares as pairs, not numbers
+        (3, {"1": 1.0}),                    # the {id: share} object of an older layout
+        (3, [1.0]),                         # one share short
+        (2, [0.5, 0.5]),                    # one share over
+        (1, []),                            # no token left to take the mass
+        (10**30, [1.0]),                    # 10**30 - 1 tokens alive, one share
+        (3, [10**400, 0.0]),                # a share no float can hold
     ])
-    def test_from_json_rejects_bad_values(self, n_tokens, parents, shares):
-        payload = {"n_tokens": n_tokens,
-                   "events": [json_event(parents=parents, shares=shares)]}
+    def test_from_json_rejects_bad_values(self, n_tokens, shares):
+        payload = {"n_tokens": n_tokens, "events": [json_event(shares=shares)]}
         with pytest.raises(IntegrityError):
             PruneLedger.from_json_dict(payload)
 
-    def test_from_json_rejects_a_parent_listed_twice(self):
-        # json.loads keeps the last of two equal keys, so this {id: share}
-        # object, the layout before parents and shares became lists, loaded
-        # as parents [1, 2] with shares [0.5, 0.5]
-        text = ('{"n_tokens": 4, "events": [{"layer": 1, "token": 0, "gate": 0.5,'
-                ' "parents": {"1": 0.25, "2": 0.5, "1": 0.5}}]}')
+    def test_pr19_layout_loads_to_the_same_events(self):
+        payload = json.loads(PR19_LEDGER)
+        ledger = PruneLedger.from_json_dict(payload)
+        assert ledger.n_tokens == 9
+        for e, old, parents in zip(ledger.events, payload["events"], ledger_parents(ledger),
+                                   strict=True):
+            assert (e.layer, e.token, e.gate) == (old["layer"], old["token"], old["gate"])
+            assert e.shares.tolist() == old["shares"]
+            assert parents.tolist() == old["parents"]
+        stripped = [{k: v for k, v in old.items() if k != "parents"} for old in payload["events"]]
+        assert ledger.to_json_dict() == {"n_tokens": 9, "events": stripped}
+        rng = np.random.default_rng(19)
+        for final in (rng.standard_normal((4, 8)).astype(np.float32),
+                      rng.standard_normal((4, 1))):
+            got = retrieve_dense(final, ledger)
+            assert got.tobytes() == explicit_retrieve_dense(final, ledger).tobytes()
+
+    @pytest.mark.parametrize("parents, shares", [
+        ([2, 1], [0.9, 0.1]),   # the alive set, not ascending
+        ([0, 0], [0.5, 0.5]),   # the token itself, listed twice
+        ([1, 1], [0.5, 0.5]),   # an alive token listed twice
+        ([1, 10**30], [0.5, 0.5]),  # an id no token has
+        ([1, 2.5], [0.5, 0.5]),  # an id that is not a whole number
+    ])
+    def test_old_file_is_refused_unless_its_parents_are_the_ascending_alive_set(
+            self, parents, shares):
+        # loading such a file as it stands would rebuild token 0 from other
+        # tokens, or with other weights, than the file says
+        payload = {"n_tokens": 3, "events": [json_event(parents=parents, shares=shares)]}
         with pytest.raises(IntegrityError):
-            PruneLedger.from_json_dict(json.loads(text))
+            PruneLedger.from_json_dict(payload)
+
+    def test_old_parents_are_checked_on_every_event(self):
+        first = json_event(parents=[1, 2, 3], shares=[0.5, 0.25, 0.25])
+        late = {"layer": 2, "token": 2, "gate": 0.25, "parents": [3, 1], "shares": [0.5, 0.5]}
+        payload = {"n_tokens": 4, "events": [first, late]}
+        with pytest.raises(IntegrityError, match="token 2 lists parents"):
+            PruneLedger.from_json_dict(payload)
+        late["parents"] = [1, 3]
+        assert len(PruneLedger.from_json_dict(payload).events) == 2
+
+    def test_old_file_with_a_subset_of_the_alive_tokens_is_refused(self):
+        # the old check let an event name only some of the tokens still
+        # alive; its shares now lack one entry per token alive after it
         text = ('{"n_tokens": 4, "events": [{"layer": 1, "token": 0, "gate": 0.5,'
-                ' "parents": [1, 2, 1], "shares": [0.25, 0.5, 0.25]}]}')
-        with pytest.raises(IntegrityError, match="lists parent 1 twice"):
+                ' "parents": [1, 3], "shares": [0.25, 0.75]}]}')
+        with pytest.raises(IntegrityError, match="has 2 shares; 3 tokens are alive"):
             PruneLedger.from_json_dict(json.loads(text))
 
     @pytest.mark.parametrize("field, value", [
@@ -223,7 +269,7 @@ class TestLedgerValidation:
     def test_validation_does_not_enumerate_tokens(self):
         # a set of every token id would not fit in memory at this count, so
         # validation has to work from the events alone
-        payload = {"n_tokens": 10**30, "events": [json_event()]}
+        payload = {"n_tokens": 10**30, "events": []}
         assert PruneLedger.from_json_dict(payload).n_tokens == 10**30
 
 
@@ -231,17 +277,14 @@ class TestPruneStep:
     def test_hand_case_prunes_lowest_mass_leaves(self):
         mask = hand_mask_four_tokens()
         states = [state_from_mask(mask, gate=[0.9, 0.8, 0.7, 0.6])]
-        survivors, events = prune_step(states, kept=2)
-        assert list(survivors) == [1, 2]
+        keep, events = prune_step(states, kept=2)
+        assert list(keep) == [1, 2]
         assert [e.token for e in events] == [0, 3]
         # token 0 distributes its outgoing column over 1, 2, 3
-        assert events[0].parents.dtype == np.int64
         assert events[0].shares.dtype == np.float64
-        assert events[0].parents.tolist() == [1, 2, 3]
         np.testing.assert_allclose(events[0].shares, np.array([0.5, 0.3, 0.05]) / 0.85,
                                    atol=1e-12)
         # token 3 then distributes over 1, 2; its column is [0.1, 0.0]
-        assert events[1].parents.tolist() == [1, 2]
         np.testing.assert_allclose(events[1].shares, [1.0, 0.0], atol=1e-12)
         assert events[0].gate == pytest.approx(0.9)
         assert events[1].gate == pytest.approx(0.6)
@@ -257,8 +300,8 @@ class TestPruneStep:
 
     def test_noop_when_kept_equals_current(self):
         states = [state_from_mask(hand_mask_four_tokens())]
-        survivors, events = prune_step(states, kept=4)
-        assert list(survivors) == [0, 1, 2, 3]
+        keep, events = prune_step(states, kept=4)
+        assert list(keep) == [0, 1, 2, 3]
         assert events == []
 
     def test_kept_bounds_rejected(self):
@@ -322,8 +365,8 @@ class TestPruneStep:
         a[4, 3], a[2, 3] = 0.9, 0.3   # 3 -> 4
         a[3, 4] = 0.8                 # 4 -> 3
         states = [state_from_mask(a), state_from_mask(a)]
-        survivors, events = prune_step(states, kept=2)
-        assert list(survivors) == [3, 4]
+        keep, events = prune_step(states, kept=2)
+        assert list(keep) == [3, 4]
         assert [e.token for e in events] == [0, 2, 1]
         assert all(e.layer == 2 for e in events)  # one event layer per block run
 
@@ -343,14 +386,24 @@ class TestPruneStep:
         assert events[0].shares.tolist() == [0.5, 0.5]
 
     def test_token_indices_respected(self):
-        # survivors carry original ids; events must report those
+        # the state carries original ids; events report those, and the kept
+        # tokens come back as positions in the state
         mask = hand_mask_four_tokens()
         tokens = np.array([2, 5, 7, 11])
         states = [state_from_mask(mask, tokens=tokens)]
-        survivors, events = prune_step(states, kept=2)
-        assert list(survivors) == [5, 7]
+        keep, events = prune_step(states, kept=2)
+        assert list(keep) == [1, 2]
+        assert list(tokens[keep]) == [5, 7]
         assert [e.token for e in events] == [2, 11]
-        assert events[0].parents.tolist() == [5, 7, 11]
+        assert [e.shares.size for e in events] == [3, 2]
+
+    @pytest.mark.parametrize("tokens", [[5, 2, 7, 11], [2, 5, 5, 11]])
+    def test_token_indices_must_ascend(self, tokens):
+        # shares follow ascending original index, so a shuffled state would
+        # send them to the wrong parents
+        states = [state_from_mask(hand_mask_four_tokens(), tokens=np.array(tokens))]
+        with pytest.raises(UsageError, match="strictly ascending"):
+            prune_step(states, kept=2)
 
 
 class TestRetrieveDense:
@@ -365,7 +418,7 @@ class TestRetrieveDense:
     def test_one_hot_parent_copies_feature(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         led = PruneLedger(n_tokens=3, events=[
-            dict_event(1, 1, 0.5, {0: 1.0}),
+            event(1, 1, 0.5, 1.0, 0.0),
         ])
         out = retrieve_dense(x, led)
         np.testing.assert_array_equal(out[1], x[0])
@@ -376,8 +429,8 @@ class TestRetrieveDense:
         # chronological: token 0 leaves first (parents 1, 2, 3), token 3
         # second (parents 1, 2).  Replay must rebuild 3 before 0.
         led = PruneLedger(n_tokens=4, events=[
-            dict_event(1, 0, 1.0, {1: 0.5, 2: 0.25, 3: 0.25}),
-            dict_event(2, 3, 1.0, {1: 0.5, 2: 0.5}),
+            event(1, 0, 1.0, 0.5, 0.25, 0.25),
+            event(2, 3, 1.0, 0.5, 0.5),
         ])
         x = np.array([[1.0, 0.0], [0.0, 1.0]])  # rows for survivors 1, 2
         out = retrieve_dense(x, led)
@@ -385,7 +438,7 @@ class TestRetrieveDense:
         np.testing.assert_allclose(out[0], [0.625, 0.375])
 
     def test_row_count_mismatch(self):
-        led = PruneLedger(n_tokens=4, events=[dict_event(1, 0, 1.0, {1: 1.0})])
+        led = PruneLedger(n_tokens=4, events=[event(1, 0, 1.0, 1.0, 0.0, 0.0)])
         with pytest.raises(IntegrityError):
             retrieve_dense(np.zeros((2, 3)), led)
         with pytest.raises(IntegrityError):
@@ -393,18 +446,16 @@ class TestRetrieveDense:
 
     def test_row_count_is_checked_before_listing_survivors(self):
         # a ledger JSON may claim 10**30 tokens; listing them would never end
-        led = PruneLedger.from_json_dict({"n_tokens": 10**30, "events": [json_event()]})
+        led = PruneLedger.from_json_dict({"n_tokens": 10**30, "events": []})
         with pytest.raises(IntegrityError):
             retrieve_dense(np.zeros((2, 3)), led)
 
     def test_forward_order_dependency_rejected(self):
-        # token 3 leaves first naming 0 as parent; then 0 leaves.  During
-        # reverse replay 0 is rebuilt after 3 needs it, which must fail
-        # ledger validation (chronology is fine, coverage is the issue).
-        # Parents were alive at event time, so the ledger builds.
+        # token 3 leaves first with all its mass on 0; then 0 leaves into 1.
+        # The reverse replay rebuilds 0 before 3 needs it.
         led = PruneLedger(n_tokens=4, events=[
-            dict_event(1, 3, 1.0, {0: 1.0}),
-            dict_event(2, 0, 1.0, {1: 1.0}),
+            event(1, 3, 1.0, 1.0, 0.0, 0.0),
+            event(2, 0, 1.0, 1.0, 0.0),
         ])
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = retrieve_dense(x, led)
@@ -422,9 +473,10 @@ class TestRetrieveDense:
         assert len(res.ledger.events) == 44
         ref = np.zeros((64, res.tokens.data.shape[1]), dtype=res.tokens.data.dtype)
         ref[res.ledger.survivors()] = res.tokens.data
-        for e in reversed(res.ledger.events):
+        for e, parents in zip(reversed(res.ledger.events),
+                              reversed(ledger_parents(res.ledger))):
             acc = np.zeros(ref.shape[1], dtype=np.float64)
-            for idx, wgt in zip(e.parents.tolist(), e.shares.tolist()):
+            for idx, wgt in zip(parents.tolist(), e.shares.tolist()):
                 acc += wgt * ref[idx].astype(np.float64)
             ref[e.token] = acc.astype(ref.dtype)
         out = retrieve_dense(res.tokens, res.ledger)
@@ -436,13 +488,11 @@ class TestRetrieveDense:
         rng = np.random.default_rng(5)
         shares = rng.random(40) * 10.0 ** rng.integers(-8, 8, 40)
         shares /= shares.sum()
-        led = PruneLedger(n_tokens=41, events=[
-            dict_event(1, 0, 1.0, {i + 1: float(w) for i, w in enumerate(shares)}),
-        ])
+        led = PruneLedger(n_tokens=41, events=[event(1, 0, 1.0, *shares)])
         x = rng.standard_normal((40, 1)) * 10.0 ** rng.integers(-8, 8, (40, 1))
         acc = 0.0
-        for i, w in zip(led.events[0].parents.tolist(), led.events[0].shares.tolist()):
-            acc += w * x[i - 1, 0]
+        for i, w in enumerate(led.events[0].shares.tolist()):  # parents 1..40
+            acc += w * x[i, 0]
         assert retrieve_dense(x, led)[0, 0] == acc
 
 
@@ -454,27 +504,26 @@ class TestRetrieveDense:
         n, pruned = 60, 40
         order = rng.permutation(n)
         events = []
-        for k, tok in enumerate(order[:pruned].tolist()):
-            alive = order[k + 1:]
-            parents = rng.choice(alive, size=min(alive.size, 25), replace=False)
-            shares = rng.random(parents.size) * 10.0 ** rng.integers(-8, 8, parents.size)
+        for tok in order[:pruned].tolist():
+            alive = n - len(events) - 1
+            shares = rng.random(alive) * 10.0 ** rng.integers(-8, 8, alive)
             shares /= shares.sum()
-            events.append(PruneEvent(1, tok, 1.0, parents, shares))
+            events.append(PruneEvent(1, tok, 1.0, shares))
         led = PruneLedger(n_tokens=n, events=events)
         rows = (n - pruned, width)
         x = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows)
         ref = np.zeros((n, width))
         ref[led.survivors()] = x
-        for e in reversed(events):
+        for e, parents in zip(reversed(events), reversed(ledger_parents(led))):
             acc = np.zeros(width)
-            for idx, wgt in zip(e.parents.tolist(), e.shares.tolist()):
+            for idx, wgt in zip(parents.tolist(), e.shares.tolist()):
                 acc += wgt * ref[idx]
             ref[e.token] = acc
         assert retrieve_dense(x, led).tobytes() == ref.tobytes()
 
     def test_negative_zero_total_is_positive_zero(self):
         # the replay starts from a zero accumulator: 0.0 + 1.0 * -0.0 is +0.0
-        led = PruneLedger(n_tokens=2, events=[dict_event(1, 0, 1.0, {1: 1.0})])
+        led = PruneLedger(n_tokens=2, events=[event(1, 0, 1.0, 1.0)])
         out = retrieve_dense(np.array([[-0.0, 2.0]]), led)
         assert out[0].tobytes() == np.array([0.0, 2.0]).tobytes()
 
@@ -489,7 +538,7 @@ class TestExpandMask:
 
     def test_pruned_column_is_gate_times_distribution(self):
         led = PruneLedger(n_tokens=3, events=[
-            dict_event(1, 1, 0.8, {0: 0.75, 2: 0.25}),
+            event(1, 1, 0.8, 0.75, 0.25),
         ])
         sub = np.array([[0.0, 0.3], [0.2, 0.0]])
         st = state_from_mask(sub, tokens=np.array([0, 2]))
@@ -501,8 +550,8 @@ class TestExpandMask:
     def test_column_sums_preserved(self):
         # column mass of a pruned token equals its cached gate
         led = PruneLedger(n_tokens=5, events=[
-            dict_event(1, 0, 0.6, {1: 0.5, 2: 0.5}),
-            dict_event(2, 4, 0.25, {1: 0.1, 2: 0.2, 3: 0.7}),
+            event(1, 0, 0.6, 0.5, 0.5, 0.0, 0.0),
+            event(2, 4, 0.25, 0.1, 0.2, 0.7),
         ])
         sub = np.random.default_rng(1).random((3, 3))
         np.fill_diagonal(sub, 0.0)
@@ -513,10 +562,37 @@ class TestExpandMask:
 
     @pytest.mark.parametrize("n_tokens", [10**30, 5000])
     def test_token_count_must_match_state(self, n_tokens):
-        # one state token plus one token pruned before the block make 2
-        led = PruneLedger(n_tokens=n_tokens, events=[dict_event(1, 0, 1.0, {1: 1.0})])
+        # a one-token state needs n_tokens - 1 events before its block
+        led = PruneLedger(n_tokens=n_tokens, events=[])
         with pytest.raises(IntegrityError):
             expand_state_mask(state_from_mask([[0.0]], tokens=[1]), led)
+
+    @pytest.mark.parametrize("tokens", [[0, 1], [2, 0], [0, 0]])
+    def test_state_tokens_must_be_the_ones_left_alive(self, tokens):
+        # token 1 left first, so a two-token state must hold tokens 0 and 2
+        led = PruneLedger(n_tokens=3, events=[event(1, 1, 0.8, 0.75, 0.25)])
+        with pytest.raises(IntegrityError, match="not the state's tokens"):
+            expand_state_mask(state_from_mask(np.zeros((2, 2)), tokens=tokens), led)
+
+
+class TestExplicitParentReplays:
+    """Parents taken from the event order give the bytes of the replays that
+    gathered each event's parents by id."""
+
+    @pytest.mark.parametrize("seed, dtype", [(1, np.float32), (2, np.float32),
+                                             (3, np.float64)])
+    def test_lite_schedule_matches_the_oracles(self, seed, dtype):
+        cfg = ModelConfig(image_size=224, patch_size=16, channels=16, heads=4,
+                          layers=12, num_classes=2, seed=seed, prune_schedule=LITE_SCHEDULE)
+        img = np.random.default_rng(seed).random((224, 224, 3)).astype(np.float32)
+        res = model_forward(img, cfg, init_weights(cfg, dtype=dtype))
+        assert len(res.ledger.events) == 196 - 64
+        dense = retrieve_dense(res.tokens, res.ledger)
+        want = explicit_retrieve_dense(res.tokens.data, res.ledger)
+        assert dense.dtype == want.dtype and dense.tobytes() == want.tobytes()
+        for st in res.states:
+            full = expand_state_mask(st, res.ledger)
+            assert full.tobytes() == explicit_expand_state_mask(st, res.ledger).tobytes()
 
 
 
@@ -536,12 +612,11 @@ def ledger_payloads(draw):
     layer = 1
     for _ in range(draw(st.integers(0, n - 1))):
         token = alive.pop(draw(st.integers(0, len(alive) - 1)))
-        targets = draw(st.lists(st.sampled_from(alive), min_size=1, unique=True))
-        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(targets), max_size=len(targets)))
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(alive), max_size=len(alive)))
         layer += draw(st.integers(0, 2))
         events.append({
             "layer": layer, "token": token, "gate": draw(st.floats(0.0, 1.0)),
-            "parents": targets, "shares": [w / sum(raw) for w in raw],
+            "shares": [w / sum(raw) for w in raw],
         })
     payload = {"n_tokens": n, "events": events}
     if draw(st.booleans()):
@@ -562,7 +637,6 @@ class TestLedgerJsonProperty:
         assert json.dumps(PruneLedger.from_json_dict(json.loads(text)).to_json_dict()) == text
 
 
-_BAD_IDS = [-1, 2**63 - 1, -2**63]  # ids beyond int64 are a JSON reader case
 _ODD_SHARES = [float("nan"), float("inf"), -float("inf"), -0.1, -1e-13]
 _ODD_GATES = [float("nan"), float("inf"), -0.1, 1.0 + 5e-7, 1.0 + 2e-6]
 
@@ -578,41 +652,33 @@ def journals(draw):
     layer = 1
     for _ in range(draw(st.integers(1, n - 1))):
         token = alive.pop(draw(st.integers(0, len(alive) - 1)))
-        targets = draw(st.lists(st.sampled_from(alive), min_size=1, unique=True))
-        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(targets), max_size=len(targets)))
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(alive), max_size=len(alive)))
         layer += draw(st.integers(0, 2))
         events.append(PruneEvent(layer, token, draw(st.floats(0.0, 1.0)),
-                                 np.array(targets, dtype=np.int64),
                                  np.array([w / sum(raw) for w in raw])))
     kind = draw(st.sampled_from(
-        ["none", "share", "parent id", "n_tokens", "self parent", "dead parent",
-         "layer", "token", "gate", "empty", "scale", "duplicate", "share count"]))
+        ["none", "share", "n_tokens", "layer", "token", "gate", "scale",
+         "wrong share count"]))
     if kind == "none":
         return n, events
     if kind == "n_tokens":
         return draw(st.integers(-1, n + 1)), events
     e = draw(st.sampled_from(events))
-    i = draw(st.integers(0, e.parents.size - 1))
+    i = draw(st.integers(0, e.shares.size - 1))
     if kind == "share":
         e.shares[i] = draw(st.sampled_from(_ODD_SHARES))
-    elif kind in ("parent id", "self parent", "dead parent"):
-        e.parents[i] = draw(st.sampled_from({"parent id": _BAD_IDS, "self parent": [e.token],
-                                             "dead parent": [f.token for f in events]}[kind]))
     elif kind == "layer":
         e.layer = draw(st.integers(-1, layer + 1))
     elif kind == "token":
         e.token = draw(st.integers(-1, n))
     elif kind == "gate":
         e.gate = draw(st.sampled_from(_ODD_GATES))
-    elif kind == "empty":
-        e.parents, e.shares = e.parents[:0], e.shares[:0]
     elif kind == "scale":
         e.shares = e.shares * np.array(
             [draw(st.sampled_from([1.0 + 5e-7, 1.0 + 2e-6, 0.5])) for _ in e.shares])
-    elif kind == "duplicate":  # the sum still holds
-        e.parents, e.shares = np.append(e.parents, e.parents[i]), np.append(e.shares, 0.0)
-    elif kind == "share count":
-        e.shares = np.delete(e.shares, i)
+    elif kind == "wrong share count":  # appending 0.0 keeps the sum
+        e.shares = draw(st.sampled_from([np.delete(e.shares, i), np.append(e.shares, 0.0),
+                                         e.shares[:0]]))
     return n, events
 
 
@@ -631,23 +697,29 @@ class TestLedgerValidationOracle:
 
 
 class TestJournalScale:
-    @pytest.mark.slow
-    def test_journal_at_1024_tokens(self, tmp_path):
-        # no runtime cliff up to 1024 tokens: four steps down to 128 journal
-        # 896 events with about half a million parent entries
+    @staticmethod
+    def journal_at_1024_tokens():
+        """Four steps down to 128 journal 896 events with about half a
+        million shares; the survivors are chained through prune_step."""
         rng = np.random.default_rng(11)
         survivors = np.arange(1024)
         states, journal = [], []
-        t0 = time.monotonic()
         for kept in (768, 512, 256, 128):
             s = survivors.size
             mask = rng.uniform(size=(s, s))
             np.fill_diagonal(mask, 0.0)
             states.append(state_from_mask(mask, tokens=survivors, gate=rng.uniform(size=s)))
-            survivors, events = prune_step(states, kept)
+            keep, events = prune_step(states, kept)
+            survivors = survivors[keep]
             journal += events
         ledger = PruneLedger(n_tokens=1024, events=journal)
-        final = rng.standard_normal((128, 8))
+        return states, ledger, survivors, rng.standard_normal((128, 8))
+
+    @pytest.mark.slow
+    def test_journal_at_1024_tokens(self, tmp_path):
+        # no runtime cliff up to 1024 tokens
+        t0 = time.monotonic()
+        states, ledger, survivors, final = self.journal_at_1024_tokens()
         dense = retrieve_dense(final, ledger)
         full = expand_state_mask(states[-1], ledger)
         write_json(tmp_path / "ledger.json", ledger.to_json_dict())
@@ -655,7 +727,17 @@ class TestJournalScale:
         assert time.monotonic() - t0 < 60.0
         assert len(ledger.events) == 896
         assert back.to_json_dict() == ledger.to_json_dict()
+        assert np.array_equal(survivors, ledger.survivors())
         assert dense[survivors].tobytes() == final.tobytes()
         gone = [e.token for e in ledger.events if e.layer < 4]
         np.testing.assert_allclose(full[:, gone].sum(axis=0),
                                    [e.gate for e in ledger.events if e.layer < 4])
+
+    @pytest.mark.slow
+    def test_journal_at_1024_tokens_matches_the_oracles(self):
+        states, ledger, _, final = self.journal_at_1024_tokens()
+        assert (retrieve_dense(final, ledger).tobytes()
+                == explicit_retrieve_dense(final, ledger).tobytes())
+        for st in states:
+            assert (expand_state_mask(st, ledger).tobytes()
+                    == explicit_expand_state_mask(st, ledger).tobytes())
