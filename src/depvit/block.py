@@ -28,7 +28,6 @@ SELECTOR_TEMPERATURE = 0.1  # head-selector softmax temperature
 class BlockWeights:
     """One dependency block's tensors, in ``block_parameter_shapes`` order."""
 
-    heads: int
     w_q: Tensor
     w_k: Tensor
     w_v: Tensor
@@ -47,8 +46,12 @@ class BlockWeights:
     def channels(self) -> int:
         return self.w_q.shape[0]
 
+    @property
+    def heads(self) -> int:
+        return self.w_head.shape[1]
+
     def named_tensors(self) -> dict[str, Tensor]:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "heads"}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def block_parameter_shapes(c: int, h: int) -> dict[str, tuple[int, ...]]:
@@ -62,7 +65,7 @@ def block_parameter_shapes(c: int, h: int) -> dict[str, tuple[int, ...]]:
 
 
 def init_parameters(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
-                    dtype=np.float32) -> dict[str, Tensor]:
+                    dtype) -> dict[str, Tensor]:
     """One trainable tensor per shape-table entry, drawn in table order.
 
     A matrix is truncated-normal; a vector is ones when its name ends in
@@ -101,7 +104,7 @@ def init_block_weights(channels: int, heads: int, rng: np.random.Generator,
     if channels % 2 != 0:
         raise ShapeError(f"channels {channels} must be even for the gate hidden layer")
     shapes = block_parameter_shapes(channels, heads)
-    return BlockWeights(heads=heads, **init_parameters(shapes, rng, dtype))
+    return BlockWeights(**init_parameters(shapes, rng, dtype))
 
 
 def forward_attention(x_norm: Tensor, weights: BlockWeights) -> tuple[Tensor, Tensor]:
@@ -200,14 +203,6 @@ def block_forward(x: Tensor, weights: BlockWeights,
     return x_out, gate_cum, state
 
 
-def pool_tokens(tokens: Tensor, gates: Tensor) -> Tensor:
-    """Gate-weighted mean over tokens: sum_i g_i x_i / sum_i g_i, shape (1, C)."""
-    n = tokens.shape[0]
-    if gates.shape != (n,):
-        raise ShapeError(f"gates shape {gates.shape} != ({n},)")
-    return tn.reshape(tn.weighted_mean_rows(tokens, gates), (1, tokens.shape[1]))
-
-
 def block_probe_loss(inputs: list[Tensor], weights_template: BlockWeights) -> Tensor:
     """Scalar probe for gradient checking the whole block.
 
@@ -220,7 +215,5 @@ def block_probe_loss(inputs: list[Tensor], weights_template: BlockWeights) -> Te
         raise UsageError(f"expected {2 + len(names)} probe inputs, got {len(inputs)}")
     x, gate_prev = inputs[0], inputs[1]
     wmap = dict(zip(names, inputs[2:]))
-    w = BlockWeights(heads=weights_template.heads, **wmap)
-    x_out, gate_cum, _ = block_forward(x, w, gate_prev)
-    pooled = pool_tokens(x_out, gate_cum)
-    return tn.sum_squares(pooled)
+    x_out, gate_cum, _ = block_forward(x, BlockWeights(**wmap), gate_prev)
+    return tn.sum_squares(tn.weighted_mean_rows(x_out, gate_cum))

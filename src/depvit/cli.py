@@ -37,7 +37,6 @@ from .fileio import (
     mask_to_json_dict,
     read_container,
     read_ppm,
-    retrieve_tokens_entry,
     tree_to_dot,
     tree_to_json_dict,
     write_container,
@@ -67,10 +66,11 @@ def _load_input(path: str, config) -> np.ndarray:
     if suffix == ".ppm":
         return read_ppm(path)
     if suffix == ".dvtn":
-        tokens = retrieve_tokens_entry(read_container(path), path)
+        tokens = read_container(path).get("tokens")
         want = (config.tokens, config.channels)
-        if tokens.shape != want:
-            raise FormatError(f"{path}: 'tokens' shaped {tokens.shape}, config wants {want}")
+        if tokens is None or tokens.shape != want:
+            found = "no 'tokens' entry" if tokens is None else f"'tokens' shaped {tokens.shape}"
+            raise FormatError(f"{path}: {found}, config wants {want}")
         if not np.isfinite(tokens).all():
             raise FormatError(f"{path}: 'tokens' holds non-finite values")
         return tokens

@@ -149,16 +149,6 @@ def read_container(path) -> dict[str, np.ndarray]:
     return out
 
 
-def retrieve_tokens_entry(entries: dict[str, np.ndarray], path) -> np.ndarray:
-    """The 'tokens' entry of a feature container, shape-checked to N x C."""
-    if "tokens" not in entries:
-        raise FormatError(f"{path}: container has no 'tokens' entry", offset=0)
-    arr = entries["tokens"]
-    if arr.ndim != 2:
-        raise FormatError(f"{path}: 'tokens' must be 2-D, got rank {arr.ndim}", offset=0)
-    return arr
-
-
 def save_weights(path, weights: ModelWeights) -> None:
     write_container(path, weights.named_tensors())
 
@@ -344,7 +334,11 @@ def tree_to_json_dict(tree: DependencyTree) -> dict:
 
 def tree_from_json_dict(d: dict) -> DependencyTree:
     """Inverse of tree_to_json_dict; ``depth`` is recomputed, and a missing
-    ``subtree`` leaves every node unlabeled (-1)."""
+    ``subtree`` leaves every node unlabeled (-1).
+
+    A field of the wrong JSON type is a FormatError here; whether the arrays
+    form one tree is ``DependencyTree``'s own check, an IntegrityError.
+    """
     try:
         root = whole_numbers(d["root"])[0]
         parent = np.array(whole_numbers(*d["parent"]), dtype=np.int64)
@@ -352,14 +346,6 @@ def tree_from_json_dict(d: dict) -> DependencyTree:
         subtree = np.array(whole_numbers(*d.get("subtree", [-1] * parent.size)), dtype=np.int64)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed tree JSON: {exc}", offset=0) from exc
-    n = parent.size
-    if weight.size != n or subtree.size != n:
-        raise FormatError(f"tree has {n} parents, {weight.size} weights and "
-                          f"{subtree.size} subtree labels", offset=0)
-    if not 0 <= root < n:
-        raise FormatError(f"tree root {root} outside 0..{n - 1}", offset=0)
-    if ((parent < -1) | (parent >= n)).any():
-        raise FormatError("tree parent index out of range", offset=0)
     if not np.isfinite(weight).all():
         raise FormatError("tree edge weights must be finite", offset=0)
     return DependencyTree(parent=parent, edge_weight=weight, root=root, subtree=subtree)

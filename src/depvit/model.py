@@ -19,7 +19,6 @@ from .block import (
     block_forward,
     block_parameter_shapes,
     init_parameters,
-    pool_tokens,
 )
 from .data import patch_vectors
 from .errors import ConfigError, ShapeError
@@ -120,8 +119,7 @@ class ModelWeights:
     def from_named_tensors(cls, config, tensors: dict[str, Tensor]) -> "ModelWeights":
         """Inverse of named_tensors for a matching configuration."""
         names = block_parameter_shapes(config.channels, config.heads)
-        blocks = [BlockWeights(heads=config.heads,
-                               **{name: tensors[f"block{i:02d}.{name}"] for name in names})
+        blocks = [BlockWeights(**{name: tensors[f"block{i:02d}.{name}"] for name in names})
                   for i in range(config.layers)]
         top = {f.name: tensors[f.name] for f in fields(cls) if f.name != "blocks"}
         return cls(blocks=blocks, **top)
@@ -194,6 +192,9 @@ def model_forward(inputs, config: ModelConfig, weights: ModelWeights) -> Forward
     keep the original indices they cover, and the ledger of every step's
     events is built, and so checked, once after the last block.
     """
+    if len(weights.blocks) != config.layers:
+        raise ShapeError(
+            f"weights hold {len(weights.blocks)} blocks, config wants {config.layers}")
     arr = np.asarray(inputs)
     if arr.ndim == 3:
         x = patch_embed(arr, config, weights)
@@ -227,7 +228,7 @@ def model_forward(inputs, config: ModelConfig, weights: ModelWeights) -> Forward
                 gate = tn.gather_rows(gate, keep)
                 survivors = survivors[keep]
 
-    pooled = pool_tokens(x, gate)
+    pooled = tn.reshape(tn.weighted_mean_rows(x, gate), (1, config.channels))
     normed = tn.layer_norm(pooled, weights.final_gain, weights.final_bias)
     logits2d = tn.add(tn.matmul(normed, weights.classifier_w), weights.classifier_b)
     logits = tn.reshape(logits2d, (config.num_classes,))

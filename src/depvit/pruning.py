@@ -104,7 +104,12 @@ class PruneLedger:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "PruneLedger":
         try:
-            ledger = cls(
+            events = payload["events"]
+            for k, e in enumerate(events):
+                if "parents" in e:
+                    raise IntegrityError(f"event {k} lists 'parents', a key of an earlier "
+                                         "ledger layout that is no longer read")
+            return cls(
                 n_tokens=whole_numbers(payload["n_tokens"])[0],
                 events=[
                     PruneEvent(
@@ -112,19 +117,9 @@ class PruneLedger:
                         gate=real_numbers(e["gate"])[0],
                         shares=np.array(real_numbers(*e["shares"]), dtype=np.float64),
                     )
-                    for e in payload["events"]
+                    for e in events
                 ],
             )
-            if any("parents" in e for e in payload["events"]):  # an earlier layout's key
-                # it must name whom the shares follow; event 0's n_tokens - 1 shares bound this
-                alive = np.ones(ledger.n_tokens, dtype=bool)
-                for e, raw in zip(ledger.events, payload["events"]):
-                    alive[e.token] = False
-                    if "parents" in raw and (whole_numbers(*raw["parents"])
-                                             != np.flatnonzero(alive).tolist()):
-                        raise IntegrityError(f"event for token {e.token} lists parents "
-                                             "that are not the ascending tokens alive after it")
-            return ledger
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise IntegrityError(f"malformed ledger payload: {exc}") from exc
 

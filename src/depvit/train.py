@@ -107,10 +107,7 @@ def toy_train(samples: list[BlobSample], config: ModelConfig, steps: int = 200,
             grad_list = tape.gradients(loss, list(params.values()))
         except NumericError as exc:
             raise TrainingError(f"training diverged: {exc}") from exc
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingError(f"training diverged: loss {value}")
-        losses.append(value)
+        losses.append(loss.item())
         opt.update(params, dict(zip(params.keys(), grad_list)))
 
     return TrainResult(weights=weights, losses=losses,

@@ -20,7 +20,6 @@ from depvit.block import (
     head_selector,
     init_block_weights,
     message_controller,
-    pool_tokens,
     reverse_compose,
     forward_attention,
     send_messages,
@@ -86,6 +85,11 @@ class TestBlockWeights:
             assert (t.dtype, t.shape) == (arr.dtype, arr.shape), name
             assert t.tobytes() == arr.tobytes(), name
         assert got["ln1_gain"].data is not got["ln2_gain"].data
+
+    def test_head_count_comes_from_the_selector(self):
+        shapes = block_parameter_shapes(8, 2)
+        bw = BlockWeights(**{name: tn.tensor(np.zeros(shape)) for name, shape in shapes.items()})
+        assert (bw.channels, bw.heads) == (8, 2)
 
     @pytest.mark.parametrize("channels, heads", [(16, 3), (15, 3), (16, 0)])
     def test_init_rejects_bad_width(self, channels, heads):
@@ -264,23 +268,22 @@ class TestPooling:
     def test_uniform_gates_give_mean(self):
         rng = np.random.default_rng(9)
         toks = tn.tensor(rng.normal(size=(6, 4)), dtype=np.float64)
-        pooled = pool_tokens(toks, tn.tensor(np.ones(6), dtype=np.float64))
-        np.testing.assert_allclose(pooled.data, toks.data.mean(axis=0, keepdims=True),
-                                   rtol=1e-12)
+        pooled = tn.weighted_mean_rows(toks, tn.tensor(np.ones(6), dtype=np.float64))
+        np.testing.assert_allclose(pooled.data, toks.data.mean(axis=0), rtol=1e-12)
 
     def test_pool_is_convex_combination(self):
         rng = np.random.default_rng(10)
         toks = tn.tensor(rng.uniform(0, 1, size=(5, 3)), dtype=np.float64)
         g = tn.tensor(rng.uniform(0.01, 1, size=5), dtype=np.float64)
-        pooled = pool_tokens(toks, g)
+        pooled = tn.weighted_mean_rows(toks, g)
         assert (pooled.data >= toks.data.min(axis=0) - 1e-12).all()
         assert (pooled.data <= toks.data.max(axis=0) + 1e-12).all()
 
     def test_single_dominant_gate_selects_token(self):
         toks = tn.tensor([[1.0, 2.0], [10.0, 20.0]], dtype=np.float64)
         g = tn.tensor([1e-12, 1.0], dtype=np.float64)
-        pooled = pool_tokens(toks, g)
-        np.testing.assert_allclose(pooled.data, [[10.0, 20.0]], rtol=1e-9)
+        pooled = tn.weighted_mean_rows(toks, g)
+        np.testing.assert_allclose(pooled.data, [10.0, 20.0], rtol=1e-9)
 
 
 class TestBlockGradients:
@@ -393,7 +396,7 @@ class TestBlockGradients:
             wrt = [x, gp] + list(bw.named_tensors().values())
             with tn.Tape() as tape:
                 x_out, gate_cum, state = block_forward(x, bw, gp)
-                loss = tn.sum_squares(pool_tokens(x_out, gate_cum))
+                loss = tn.sum_squares(tn.weighted_mean_rows(x_out, gate_cum))
             if edit:
                 state.mask *= -3.0
                 state.mask[0, :] = 7.0

@@ -15,7 +15,7 @@ import pytest
 import depvit
 
 from depvit.cli import build_parser, run
-from depvit.errors import FormatError
+from depvit.errors import FormatError, IntegrityError
 from depvit.evalkit import LabelGrid, saliency_metrics
 from depvit.fileio import (
     grid_to_json_dict,
@@ -69,16 +69,16 @@ class TestParse:
         # subtree labels were filled by the partitioning pass
         assert min(json.loads(out.read_text())["subtree"]) >= 0
 
-    @pytest.mark.parametrize("field, damage", [
-        ("parent", lambda v: v + [0]),            # one parent more than weights
-        ("weight", lambda v: v[:-1]),             # one weight short
-        ("subtree", lambda v: v[:-1]),            # one label short
-        ("root", lambda v: 16),                   # root out of range
-        ("parent", lambda v: [16] + v[1:]),       # parent out of range
-        ("weight", lambda v: [float("nan")] + v[1:]),
-        ("weight", lambda v: [float("inf")] + v[1:]),
+    @pytest.mark.parametrize("field, damage, error", [
+        ("parent", lambda v: v + [0], IntegrityError),       # one parent more than weights
+        ("weight", lambda v: v[:-1], IntegrityError),        # one weight short
+        ("subtree", lambda v: v[:-1], IntegrityError),       # one label short
+        ("root", lambda v: 16, IntegrityError),              # root out of range
+        ("parent", lambda v: [16] + v[1:], IntegrityError),  # parent out of range
+        ("weight", lambda v: [float("nan")] + v[1:], FormatError),
+        ("weight", lambda v: [float("inf")] + v[1:], FormatError),
     ])
-    def test_written_tree_rejects_damage(self, workdir, field, damage):
+    def test_written_tree_rejects_damage(self, workdir, field, damage, error):
         d, cfg, weights, image = workdir
         out = d / "tree.json"
         assert run(["parse", "--input", str(image), "--weights", str(weights),
@@ -86,7 +86,7 @@ class TestParse:
         payload = json.loads(out.read_text())
         payload[field] = damage(payload[field])
         out.write_text(json.dumps(payload))  # NaN and Infinity as Python writes them
-        with pytest.raises(FormatError):
+        with pytest.raises(error):
             tree_from_json_dict(json.loads(out.read_text()))
 
     def test_layer_selection_changes_mask(self, workdir):
@@ -391,16 +391,21 @@ class TestUsage:
         assert run(["eval-parts", "--pred", str(p), "--gt", str(p)]) == 2
 
     @pytest.mark.parametrize("command", ["parse", "prune"])
-    @pytest.mark.parametrize("bad", ["narrow", "nan"])
+    @pytest.mark.parametrize("bad", ["narrow", "nan", "missing", "flat"])
     def test_token_input_must_fit_config(self, workdir, tmp_path, capsys, command, bad):
         d, cfg, weights, _ = workdir
         x = np.random.default_rng(2).standard_normal((16, 16)).astype(np.float32)
+        entries = {"tokens": x}
         if bad == "narrow":
-            x = x[:, :4]  # (16, 4) against 16 channels
-        else:
+            entries["tokens"] = x[:, :4]  # (16, 4) against 16 channels
+        elif bad == "nan":
             x[3, 5] = np.nan
+        elif bad == "missing":
+            entries = {"features": x}
+        else:
+            entries["tokens"] = x.reshape(-1)  # 256 values, but 1-D
         tok = tmp_path / "tokens.dvtn"
-        write_container(tok, {"tokens": x})
+        write_container(tok, entries)
         argv = [command, "--input", str(tok), "--weights", str(weights), "--config", str(cfg)]
         if command == "prune":
             argv += ["--ledger", str(tmp_path / "ledger.json")]

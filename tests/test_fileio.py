@@ -24,7 +24,6 @@ from depvit.fileio import (
     parse_config,
     read_container,
     read_ppm,
-    retrieve_tokens_entry,
     save_weights,
     tree_from_json_dict,
     tree_to_dot,
@@ -279,14 +278,6 @@ class TestContainer:
         with pytest.raises(UsageError):
             write_container(p, {"a": np.ones(2), "b": np.zeros(2, dtype=np.int32)})
         assert not p.exists()
-
-    def test_tokens_entry_helper(self, tmp_path):
-        with pytest.raises(FormatError):
-            retrieve_tokens_entry({}, "x.dvtn")
-        with pytest.raises(FormatError):
-            retrieve_tokens_entry({"tokens": np.zeros(3, dtype=np.float32)}, "x")
-        arr = np.zeros((2, 3), dtype=np.float32)
-        assert retrieve_tokens_entry({"tokens": arr}, "x") is arr
 
 
 class TestWeightsIO:
@@ -567,25 +558,28 @@ class TestTreeJson:
         ("subtree", []),
     ])
     def test_arrays_must_have_equal_length(self, field, value):
+        # the tree's own check, not the reader, ties the lengths together
         d = tree_to_json_dict(self.tree())
         d[field] = value
-        with pytest.raises(FormatError):
+        with pytest.raises(IntegrityError):
             tree_from_json_dict(d)
 
-    @pytest.mark.parametrize("field, index, value", [
-        ("root", None, 4),        # root out of range
-        ("root", None, -1),       # negative root must not wrap to the last node
-        ("parent", 0, 7),         # parent out of range
-        ("parent", 0, -2),
-        ("parent", 0, 2**63),     # beyond int64
+    @pytest.mark.parametrize("field, index, value, error", [
+        ("root", None, 4, IntegrityError),        # root out of range
+        ("root", None, -1, IntegrityError),       # negative root must not wrap to the last node
+        ("root", None, 2**70, IntegrityError),    # no node has it, though no int64 holds it
+        ("root", None, -2**70, IntegrityError),
+        ("parent", 0, 7, IntegrityError),         # parent out of range
+        ("parent", 0, -2, IntegrityError),
+        ("parent", 0, 2**63, FormatError),        # beyond int64: no array can hold it
     ])
-    def test_root_and_parents_must_be_in_range(self, field, index, value):
+    def test_root_and_parents_must_be_in_range(self, field, index, value, error):
         d = tree_to_json_dict(self.tree())
         if index is None:
             d[field] = value
         else:
             d[field][index] = value
-        with pytest.raises(FormatError):
+        with pytest.raises(error):
             tree_from_json_dict(d)
 
     @pytest.mark.parametrize("field, index, value", [

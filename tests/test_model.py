@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from depvit.block import block_forward, pool_tokens
+from depvit.block import block_forward
 from depvit.data import BlobSample, blob_dataset, blob_scene, patch_vectors
 from depvit.errors import ConfigError, IntegrityError, ShapeError, TrainingError, UsageError
 from depvit.model import (
@@ -19,7 +19,16 @@ from depvit.model import (
     patch_embed,
 )
 from depvit.pruning import expand_state_mask, retrieve_dense
-from depvit.tensor import Tape, Tensor, add, cross_entropy, layer_norm, matmul, reshape
+from depvit.tensor import (
+    Tape,
+    Tensor,
+    add,
+    cross_entropy,
+    layer_norm,
+    matmul,
+    reshape,
+    weighted_mean_rows,
+)
 from depvit.train import _batch_loss, evaluate, toy_train
 from oracles import explicit_model_init
 
@@ -187,6 +196,13 @@ class TestForward:
         np.testing.assert_array_equal(r1.logits.data, r2.logits.data)
         np.testing.assert_array_equal(r1.tokens.data, r2.tokens.data)
 
+    @pytest.mark.parametrize("layers", [2, 4])
+    def test_block_count_must_match_config(self, layers):
+        # fewer blocks than layers, and more, are both refused before any block runs
+        weights = init_weights(small_config(layers=layers))
+        with pytest.raises(ShapeError, match=f"hold {layers} blocks, config wants 3"):
+            model_forward(np.zeros((64, 64, 3), dtype=np.float32), small_config(), weights)
+
     def test_logit_and_state_shapes(self):
         cfg = small_config()
         w = init_weights(cfg)
@@ -242,12 +258,12 @@ class TestForward:
         gates = last.cumulative_gate[np.isin(last.token_indices, res.ledger.survivors())]
         assert gates.shape == (res.tokens.shape[0],)
         assert np.all(gates > 0.0) and np.all(gates <= 1.0)
-        pooled = pool_tokens(res.tokens, Tensor(gates))
+        pooled = weighted_mean_rows(res.tokens, Tensor(gates))
         weights = gates / gates.sum()
         manual = weights[:, None] * res.tokens.data
-        np.testing.assert_allclose(pooled.data[0], manual.sum(axis=0), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(pooled.data, manual.sum(axis=0), rtol=1e-5, atol=1e-6)
         # and the classifier reads exactly that mean
-        normed = layer_norm(pooled, w.final_gain, w.final_bias)
+        normed = layer_norm(reshape(pooled, (1, cfg.channels)), w.final_gain, w.final_bias)
         logits = add(matmul(normed, w.classifier_w), w.classifier_b)
         assert logits.data.reshape(-1).tobytes() == res.logits.data.tobytes()
 

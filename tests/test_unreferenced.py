@@ -6,6 +6,8 @@ defined.  Code names count wherever they appear; under ``perfbench/`` a
 string that is exactly the name counts too, because the benchmark's tracer
 wraps functions by attribute name.  Comments and docstrings never count.
 A new unreferenced name fails here until it is deleted or allowlisted.
+The same holds, with no allowlist, for every method and property of a
+package class whose name is not a dunder.
 
 A name that only such a string keeps alive is tracer-only: the benchmark
 wraps it, but nothing calls it.  That set is pinned too, so the list of
@@ -42,7 +44,7 @@ WHOLE_READ = {"BlockWeights", "ModelWeights", "ModelConfig", "LayerCost", "CostR
               "MetricReport", "GradCheckReport"}
 
 SETTABLE = {
-    "block.init_block_weights.dtype", "block.init_parameters.dtype",
+    "block.init_block_weights.dtype",
     "cli.run.argv",
     "errors.FormatError.__init__.offset",
     "evalkit.MetricReport.acc", "evalkit.MetricReport.iou", "evalkit.MetricReport.macc",
@@ -98,6 +100,19 @@ def _definitions_and_uses() -> tuple[set[str], set[str], set[str]]:
     return defined, code, tracer_strings
 
 
+def _methods() -> set[str]:
+    """``module.Class.name`` of every non-dunder method and property."""
+    return {
+        f"{path.stem}.{node.name}.{item.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    }
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
                for d in node.decorator_list)
@@ -134,6 +149,12 @@ def _settable(node: ast.AST, prefix: str) -> set[str]:
 def test_unreferenced_definitions_are_allowlisted():
     defined, code, tracer_strings = _definitions_and_uses()
     assert sorted(defined - code - tracer_strings) == sorted(ALLOWED)
+
+
+def test_methods_and_properties_are_referenced():
+    _, code, tracer_strings = _definitions_and_uses()
+    used = code | tracer_strings
+    assert sorted(m for m in _methods() if m.rsplit(".", 1)[1] not in used) == []
 
 
 def test_tracer_only_names_are_pinned():
