@@ -97,7 +97,7 @@ class AttentionState:
 
 
 def init_block_weights(channels: int, heads: int, rng: np.random.Generator,
-                       dtype=np.float32) -> BlockWeights:
+                       dtype) -> BlockWeights:
     """``init_parameters`` over ``block_parameter_shapes``."""
     if heads < 1 or channels % heads != 0:
         raise ShapeError(f"channels {channels} not divisible by heads {heads}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -30,6 +31,8 @@ _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _U32 = struct.Struct("<I")
 _MAX_RANK = 64  # numpy's dimension limit
+# the four P6 header fields, each after a run of whitespace and "#" comments
+_PPM_HEADER = re.compile(rb"(?:[ \t\r\n]|#[^\n]*)*([^ \t\r\n#]*)" * 4)
 
 
 def write_container(path, entries: dict[str, np.ndarray]) -> None:
@@ -40,7 +43,7 @@ def write_container(path, entries: dict[str, np.ndarray]) -> None:
     """
     parts = []
     for name, arr in entries.items():
-        arr = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
+        arr = np.asarray(arr)
         if arr.dtype not in _CODES:
             raise UsageError(f"entry {name!r} has unsupported dtype {arr.dtype}")
         raw = name.encode("utf-8")
@@ -58,120 +61,95 @@ def write_container(path, entries: dict[str, np.ndarray]) -> None:
 def read_container(path) -> dict[str, np.ndarray]:
     """Parse a container file back into named arrays, strictly.
 
-    Each payload is checked against the bytes left in the file, then read
-    straight into its own fresh array: one copy, aligned, writable and
-    unshared.  A short read, from a file that shrank while open, is a
-    truncation too.
+    Every field, payloads included, is checked against the bytes left in
+    the file before its buffer is made, so a payload is read straight into
+    its own fresh array: one copy, aligned, writable and unshared.  A short
+    read, from a file that shrank while open, is a truncation too.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         pos = 0
 
-        # ``what`` is formatted with ``args`` only when it goes into an error
-        def truncated(what: str, args: tuple, offset: int) -> FormatError:
-            return FormatError(f"truncated while reading {what.format(*args)}", offset=offset)
-
-        def need(nbytes: int, what: str, *args) -> int:
+        def read(nbytes: int, what: str, *args, into):
+            """The next ``nbytes`` in the fresh buffer ``into(nbytes)``; ``what``
+            is formatted with ``args`` only when it goes into an error."""
             nonlocal pos
-            if size - pos < nbytes:
-                raise truncated(what, args, pos)
-            start = pos
-            pos += nbytes
-            return start
-
-        def take(nbytes: int, what: str, *args) -> tuple[bytes, int]:
-            start = need(nbytes, what, *args)
-            raw = f.read(nbytes)
-            if len(raw) != nbytes:
-                raise truncated(what, args, start)
-            return raw, start
+            if size - pos >= nbytes:
+                buf = into(nbytes)
+                if f.readinto(buf) == nbytes:
+                    pos += nbytes
+                    return buf
+            raise FormatError(f"truncated while reading {what.format(*args)}", offset=pos)
 
         def u32(what: str, *args) -> int:
-            return _U32.unpack(take(4, what, *args)[0])[0]
+            return _U32.unpack(read(4, what, *args, into=bytearray))[0]
 
-        def extents(rank: int, name: str) -> tuple[int, ...]:
-            # all of them in one unpack; a cut one is reported by its index
-            nonlocal pos
-            start = pos
-            raw = f.read(min(4 * rank, size - pos))
-            shape = struct.unpack_from(f"<{len(raw) // 4}I", raw)
-            if len(shape) < rank:
-                raise truncated("extent {} of {!r}", (len(shape), name), start + 4 * len(shape))
-            pos += 4 * rank
-            return shape
-
-        magic, start = take(4, "magic")
-        if magic != MAGIC:
-            raise FormatError("bad magic, not a tensor container", offset=start)
-        version_at = pos
+        # a bad field is named at its own offset, just behind the cursor
+        if read(4, "magic", into=bytearray) != MAGIC:
+            raise FormatError("bad magic, not a tensor container", offset=pos - 4)
         version = u32("version")
         if version != VERSION:
-            raise FormatError(f"unsupported container version {version}", offset=version_at)
+            raise FormatError(f"unsupported container version {version}", offset=pos - 4)
         count = u32("entry count")
         out: dict[str, np.ndarray] = {}
         for i in range(count):
             nlen = u32("name length of entry {}", i)
-            raw, name_at = take(nlen, "name of entry {}", i)
+            raw = read(nlen, "name of entry {}", i, into=bytearray)
             try:
                 name = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise FormatError(f"entry {i} name is not UTF-8", offset=name_at) from exc
+                raise FormatError(f"entry {i} name is not UTF-8", offset=pos - nlen) from exc
             if name in out:
-                raise FormatError(f"duplicate entry name {name!r}", offset=name_at)
-            code_at = pos
+                raise FormatError(f"duplicate entry name {name!r}", offset=pos - nlen)
             code = u32("dtype of {!r}", name)
             if code not in _DTYPES:
-                raise FormatError(f"unknown dtype code {code}", offset=code_at)
-            rank_at = pos
+                raise FormatError(f"unknown dtype code {code}", offset=pos - 4)
             rank = u32("rank of {!r}", name)
-            if rank > _MAX_RANK:
-                # numpy cannot build it, so no extent is unpacked: a rank whose
-                # extents overrun the file is named at its own offset
-                if 4 * rank > size - pos:
-                    raise FormatError(f"rank {rank} of {name!r} is above numpy's "
-                                      f"{_MAX_RANK} dimensions", offset=rank_at)
-                raise FormatError(f"entry {name!r} has unrepresentable shape of rank {rank}",
-                                  offset=pos + 4 * rank)
-            shape = extents(rank, name)
-            nbytes = math.prod(shape) * _DTYPES[code].itemsize
-            payload_at = need(nbytes, "payload of {!r}", name)
+            if rank > _MAX_RANK:  # numpy cannot build it, so no extent is read
+                raise FormatError(f"rank {rank} of {name!r} is above numpy's "
+                                  f"{_MAX_RANK} dimensions", offset=pos - 4)
+            shape = tuple(u32("extent {} of {!r}", k, name) for k in range(rank))
+            dtype = _DTYPES[code]
             try:
-                # an empty entry can still declare extents whose product overflows
-                arr = np.empty(shape, dtype=_DTYPES[code])
+                out[name] = read(math.prod(shape) * dtype.itemsize, "payload of {!r}", name,
+                                 into=lambda _: np.empty(shape, dtype=dtype))
             except ValueError as exc:
+                # an empty entry can still declare extents whose product
+                # overflows; the cursor is still at the payload
                 raise FormatError(f"entry {name!r} has unrepresentable shape {shape}",
-                                  offset=payload_at) from exc
-            if f.readinto(arr) != nbytes:
-                raise truncated("payload of {!r}", (name,), payload_at)
-            out[name] = arr
+                                  offset=pos) from exc
         if pos != size or f.read(1):
             raise FormatError("trailing bytes after final entry", offset=pos)
     return out
 
 
 def save_weights(path, weights: ModelWeights) -> None:
-    write_container(path, weights.named_tensors())
+    write_container(path, {name: t.data for name, t in weights.named_tensors().items()})
 
 
 def load_weights(path, config: ModelConfig) -> ModelWeights:
-    """Rebuild model weights from a container, checking every shape."""
+    """Rebuild model weights from a container, checking every shape and
+    that every entry has the first table entry's dtype."""
     entries = read_container(path)
     shapes = parameter_shapes(config)
     missing = sorted(set(shapes) - set(entries))
     if missing:
-        raise FormatError(f"weights file lacks entries: {', '.join(missing)}", offset=0)
+        raise FormatError(f"weights file lacks entries: {', '.join(missing)}")
     extra = sorted(set(entries) - set(shapes))
     if extra:
-        raise FormatError(f"weights file has unknown entries: {', '.join(extra)}", offset=0)
+        raise FormatError(f"weights file has unknown entries: {', '.join(extra)}")
+    first = next(iter(shapes))
+    dtype = entries[first].dtype
     tensors: dict[str, Tensor] = {}
     for name, shape in shapes.items():
         arr = entries[name]
         if arr.shape != shape:
-            raise FormatError(
-                f"entry {name!r} shaped {arr.shape}, config wants {shape}", offset=0
-            )
+            raise FormatError(f"entry {name!r} shaped {arr.shape}, config wants {shape}")
+        if arr.dtype != dtype:
+            raise FormatError(f"entry {name!r} is {arr.dtype.name}, "
+                              f"entry {first!r} is {dtype.name}")
         if not np.isfinite(arr).all():
-            raise FormatError(f"entry {name!r} holds non-finite values", offset=0)
+            raise FormatError(f"entry {name!r} holds non-finite values")
         tensors[name] = Tensor(arr)
     return ModelWeights.from_named_tensors(config, tensors)
 
@@ -179,46 +157,28 @@ def load_weights(path, config: ModelConfig) -> ModelWeights:
 def read_ppm(path) -> np.ndarray:
     """Binary P6 image as float32 (H, W, 3) scaled to [0, 1]."""
     data = Path(path).read_bytes()
-    pos = 0
-
-    def token(what: str) -> tuple[bytes, int]:
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos:pos + 1]
-            if c in b" \t\r\n":
-                pos += 1
-            elif c == b"#":
-                while pos < len(data) and data[pos:pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and data[pos:pos + 1] not in b" \t\r\n#":
-            pos += 1
-        if start == pos:
-            raise FormatError(f"missing {what} in header", offset=start)
-        return data[start:pos], start
-
-    def number(what: str) -> int:
-        tok, at = token(what)
+    header = _PPM_HEADER.match(data)
+    values = []
+    for i, what in enumerate(("magic", "width", "height", "maxval"), start=1):
+        tok, at = header.group(i), header.start(i)
+        if not tok:  # the skip stops only at a token or the end of the file
+            raise FormatError(f"missing {what} in header", offset=at)
+        if what == "magic":
+            if tok != b"P6":
+                raise FormatError(f"not a binary P6 image (got {tok!r})", offset=at)
+            continue
         try:
             val = int(tok)
         except ValueError as exc:
             raise FormatError(f"{what} is not a number: {tok!r}", offset=at) from exc
         if val <= 0:
             raise FormatError(f"{what} must be positive, got {val}", offset=at)
-        return val
-
-    magic, at = token("magic")
-    if magic != b"P6":
-        raise FormatError(f"not a binary P6 image (got {magic!r})", offset=at)
-    width = number("width")
-    height = number("height")
-    maxval_at = pos
-    maxval = number("maxval")
+        values.append(val)
+    width, height, maxval = values
     if maxval != 255:
-        raise FormatError(f"only maxval 255 supported, got {maxval}", offset=maxval_at)
-    if pos >= len(data) or data[pos:pos + 1] not in b" \t\r\n":
+        raise FormatError(f"only maxval 255 supported, got {maxval}", offset=header.end(3))
+    pos = header.end()
+    if pos >= len(data) or data[pos] not in b" \t\r\n":
         raise FormatError("expected single whitespace before pixels", offset=pos)
     pos += 1
     nbytes = width * height * 3
@@ -345,9 +305,9 @@ def tree_from_json_dict(d: dict) -> DependencyTree:
         weight = np.array(real_numbers(*d["weight"]), dtype=np.float64)
         subtree = np.array(whole_numbers(*d.get("subtree", [-1] * parent.size)), dtype=np.int64)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed tree JSON: {exc}", offset=0) from exc
+        raise FormatError(f"malformed tree JSON: {exc}") from exc
     if not np.isfinite(weight).all():
-        raise FormatError("tree edge weights must be finite", offset=0)
+        raise FormatError("tree edge weights must be finite")
     return DependencyTree(parent=parent, edge_weight=weight, root=root, subtree=subtree)
 
 
@@ -386,14 +346,14 @@ def load_grid_values(path) -> np.ndarray:
         arr = np.asarray(d["labels"], dtype=np.float64)
         size = tuple(whole_numbers(d["height"], d["width"]))
         if arr.shape != size:
-            raise FormatError("grid labels disagree with declared size", offset=0)
+            raise FormatError("grid labels disagree with declared size")
         if arr.size == 0:
-            raise FormatError("grid width and height must be positive", offset=0)
+            raise FormatError("grid width and height must be positive")
         real_numbers(*(v for row in d["labels"] for v in row))  # asarray took "1" and true
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed grid JSON: {exc}", offset=0) from exc
+        raise FormatError(f"malformed grid JSON: {exc}") from exc
     return arr
 
 

@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError, UsageError
 
-_DT32 = np.dtype(np.float32)
-_DT64 = np.dtype(np.float64)
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -48,24 +47,19 @@ _SERIALS = itertools.count()
 
 
 class Tensor:
-    """A numpy array, a grad-participation flag and a serial number.
+    """A float32 or float64 array, a grad-participation flag and a serial number.
 
-    The array is owned by the tensor; kernels never alias their inputs into
-    outputs, so mutating ``t.data`` between forward and backward corrupts
-    gradients only for that tensor (optimizers rely on in-place updates
-    happening outside any active tape).
+    The array is stored as given, not copied or converted; ``tensor()``
+    makes one from other data.  The array is owned by the tensor; kernels
+    never alias their inputs into outputs, so mutating ``t.data`` between
+    forward and backward corrupts gradients only for that tensor
+    (optimizers rely on in-place updates happening outside any active tape).
     """
 
     __slots__ = ("data", "requires_grad", "serial")
 
-    def __init__(self, data, dtype=None, requires_grad: bool = False):
-        arr = data if isinstance(data, np.ndarray) else np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype)
-        if arr.dtype is not _DT32 and arr.dtype is not _DT64 \
-                and arr.dtype not in (_DT32, _DT64):
-            arr = arr.astype(np.float32)
-        self.data = arr
+    def __init__(self, data: np.ndarray, requires_grad: bool = False):
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.serial = next(_SERIALS)
 
@@ -221,11 +215,15 @@ def _operands(a: Tensor, b: Tensor) -> tuple[np.ndarray | None, np.ndarray | Non
             b.data if a.requires_grad else None)
 
 
-def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    """Construct a tensor, validating finiteness of the initial data."""
-    t = Tensor(data, dtype=dtype, requires_grad=requires_grad)
-    _check_finite(t.data, "tensor")
-    return t
+def tensor(data, dtype, requires_grad: bool = False) -> Tensor:
+    """A tensor holding a float32 or float64 copy of ``data``, which must be
+    finite."""
+    dtype = np.dtype(dtype)
+    if dtype not in _FLOATS:
+        raise UsageError(f"tensor dtype must be float32 or float64, got {dtype}")
+    arr = np.array(data, dtype=dtype)
+    _check_finite(arr, "tensor")
+    return Tensor(arr, requires_grad)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

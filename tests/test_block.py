@@ -88,13 +88,14 @@ class TestBlockWeights:
 
     def test_head_count_comes_from_the_selector(self):
         shapes = block_parameter_shapes(8, 2)
-        bw = BlockWeights(**{name: tn.tensor(np.zeros(shape)) for name, shape in shapes.items()})
+        bw = BlockWeights(**{name: tn.tensor(np.zeros(shape), dtype=np.float32)
+                             for name, shape in shapes.items()})
         assert (bw.channels, bw.heads) == (8, 2)
 
     @pytest.mark.parametrize("channels, heads", [(16, 3), (15, 3), (16, 0)])
     def test_init_rejects_bad_width(self, channels, heads):
         with pytest.raises(ShapeError):
-            init_block_weights(channels, heads, np.random.default_rng(0))
+            init_block_weights(channels, heads, np.random.default_rng(0), dtype=np.float32)
 
 
 class TestReverseComposition:

@@ -462,6 +462,19 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "block00.w_q" in err and "check failed" not in err
 
+    def test_mixed_dtype_weights_are_usage_error(self, workdir, tmp_path, capsys):
+        # refused at load, before any block runs on the float64 entry
+        d, cfg, weights, image = workdir
+        entries = read_container(weights)
+        entries["block01.ffn_w2"] = entries["block01.ffn_w2"].astype(np.float64)
+        bad = tmp_path / "mixed.dvtn"
+        write_container(bad, entries)
+        assert run(["parse", "--input", str(image), "--weights", str(bad),
+                    "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "'block01.ffn_w2' is float64" in err and "'patch_proj' is float32" in err
+        assert "check failed" not in err
+
     def test_fractional_grid_size_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "g.json"
         p.write_text('{"width": 2, "height": 2.9, "labels": [[0, 1], [1, 0]]}')

@@ -1,12 +1,16 @@
 """Tests for the tensor container, PPM reader, config parser, and tree JSON."""
 
+import ast
+import hashlib
 import itertools
 import json
 import os
+import random
 import struct
 import tracemalloc
 import warnings
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -159,7 +163,6 @@ class TestContainer:
     @pytest.mark.parametrize("code, shape", [
         (1, (2**32 - 1,) * 3 + (0,)),
         (0, (2**31, 0, 2**31, 2**31)),
-        (1, (0,) * 65),
     ])
     def test_empty_entry_numpy_cannot_shape(self, tmp_path, code, shape):
         head = container_header(1) + entry_header("a", code, shape)
@@ -235,12 +238,12 @@ class TestContainer:
                                   f"64 dimensions (byte offset {rank_at})")
         assert peak < 1e6
 
-    @pytest.mark.parametrize("rank", [65, 2**32 - 1])
-    def test_rank_above_numpy_limit_is_named_when_its_extents_overrun(self, tmp_path, rank):
-        # 8 bytes follow the rank: two extents' worth, far fewer than it declares
+    @pytest.mark.parametrize("rank, follow", [(65, 8), (2**32 - 1, 8), (65, 4 * 65)])
+    def test_rank_above_numpy_limit_is_named_at_its_offset(self, tmp_path, rank, follow):
+        # ``follow`` zero bytes after the rank: two extents' worth, or all 65
         p = tmp_path / "x.dvtn"
         p.write_bytes(container_header(1) + struct.pack("<I", 1) + b"a"
-                      + struct.pack("<II", 0, rank) + b"\x00" * 8)
+                      + struct.pack("<II", 0, rank) + b"\x00" * follow)
         with pytest.raises(FormatError) as err:
             read_container(p)
         assert str(err.value) == (f"rank {rank} of 'a' is above numpy's 64 dimensions"
@@ -346,6 +349,25 @@ class TestWeightsIO:
             load_weights(p, cfg)
         assert "block00.w_q" in str(err.value) and "non-finite" in str(err.value)
 
+    def test_mixed_dtypes_rejected(self, tmp_path):
+        cfg = ModelConfig(image_size=32, patch_size=16, channels=8, heads=2,
+                          layers=1, num_classes=4)
+        entries = {k: t.data for k, t in init_weights(cfg).named_tensors().items()}
+        entries["block00.w_q"] = entries["block00.w_q"].astype(np.float64)
+        p = tmp_path / "w.dvtn"
+        write_container(p, entries)
+        with pytest.raises(FormatError) as err:
+            load_weights(p, cfg)
+        assert str(err.value) == "entry 'block00.w_q' is float64, entry 'patch_proj' is float32"
+
+    def test_float64_weights_load_as_float64(self, tmp_path):
+        cfg = ModelConfig(image_size=32, patch_size=16, channels=8, heads=2,
+                          layers=1, num_classes=4)
+        p = tmp_path / "w.dvtn"
+        save_weights(p, init_weights(cfg, dtype=np.float64))
+        assert {t.dtype for t in load_weights(p, cfg).named_tensors().values()} == {
+            np.dtype(np.float64)}
+
 
 class TestPpm:
     def test_round_trip(self, tmp_path):
@@ -368,11 +390,15 @@ class TestPpm:
                 write_ppm(p, img)
         assert not p.exists()
 
-    def test_comments_and_whitespace(self, tmp_path):
+    @pytest.mark.parametrize("header, shape", [
+        (b"P6 # comment\n# another\n 2 1\n255\n", (1, 2, 3)),
+        (b"P6\t#c\r\n 1\r2#x\n255 ", (2, 1, 3)),  # a comment may touch a field
+    ])
+    def test_comments_and_whitespace(self, tmp_path, header, shape):
         p = tmp_path / "x.ppm"
-        p.write_bytes(b"P6 # comment\n# another\n 2 1\n255\n" + bytes(6))
+        p.write_bytes(header + bytes(6))
         img = read_ppm(p)
-        assert img.shape == (1, 2, 3)
+        assert img.shape == shape
 
     def test_wrong_magic_offset(self, tmp_path):
         p = tmp_path / "x.ppm"
@@ -406,6 +432,32 @@ class TestPpm:
         p.write_bytes(b"P6\n1 1\n255\n" + bytes(4))
         with pytest.raises(FormatError):
             read_ppm(p)
+
+    def test_every_cut_reports_what_it_cuts(self, tmp_path):
+        # a two-pixel image with two comments; a row holds from its first
+        # cut up to the next row's, and an offset of None is the cut itself
+        raw = b"P6 # hand-made\n2 1\n# maxval next\n255\n" + bytes(range(6))
+        rows = [(0, "missing magic in header", None),
+                (1, "not a binary P6 image (got b'P')", 0),
+                (2, "missing width in header", None),
+                (16, "missing height in header", None),
+                (18, "missing maxval in header", None),
+                (34, "only maxval 255 supported, got 2", 18),
+                (35, "only maxval 255 supported, got 25", 18),
+                (36, "expected single whitespace before pixels", None),
+                (37, "pixel payload needs 6 bytes, {} left", None)]
+        assert len(raw) == 43
+        p = tmp_path / "x.ppm"
+        for cut in range(len(raw)):
+            first, what, offset = [r for r in rows if r[0] <= cut][-1]
+            offset = cut if offset is None else offset
+            p.write_bytes(raw[:cut])
+            with pytest.raises(FormatError) as err:
+                read_ppm(p)
+            assert err.value.offset == offset
+            assert str(err.value) == f"{what.format(cut - first)} (byte offset {offset})"
+        p.write_bytes(raw)
+        assert read_ppm(p).tobytes() == (np.arange(6, dtype=np.float32) / 255).tobytes()
 
 
 class TestRunConfig:
@@ -672,6 +724,97 @@ class TestGridAndMaskJson:
         p = tmp_path / "g.json"
         write_json(p, {"width": 2.0, "height": 1.0, "labels": [[0, 1]]})
         np.testing.assert_array_equal(load_grid_values(p), [[0.0, 1.0]])
+
+
+class TestErrorOffsets:
+    @pytest.mark.parametrize("reader", ["weights", "tree", "grid"])
+    def test_errors_past_the_byte_readers_have_no_offset(self, tmp_path, reader):
+        weights, grid = tmp_path / "w.dvtn", tmp_path / "g.json"
+        write_container(weights, {})
+        write_json(grid, {"width": 3, "height": 1, "labels": [[0, 1]]})
+        load = {"weights": lambda: load_weights(weights, ModelConfig()),
+                "tree": lambda: tree_from_json_dict({"root": 0}),
+                "grid": lambda: load_grid_values(grid)}[reader]
+        with pytest.raises(FormatError) as err:
+            load()
+        assert err.value.offset is None and "byte offset" not in str(err.value)
+
+    def test_only_the_byte_readers_pass_offsets(self):
+        # an offset counts bytes of a file, and only these two walk one
+        package = Path(__file__).resolve().parent.parent / "src" / "depvit"
+        callers = set()
+        for path in package.glob("*.py"):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None) == "FormatError"
+                            and (len(node.args) > 1
+                                 or any(k.arg == "offset" for k in node.keywords))):
+                        callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+        assert sorted(callers) == ["fileio.read_container", "fileio.read_ppm"]
+
+
+_SWEEP_WORDS = [struct.pack("<I", v) for v in (0, 1, 2, 3, 7, 64, 65, 2**31, 2**32 - 1)]
+
+
+def _sweep_bases(reader: str, tmp_path) -> list[bytes]:
+    if reader == "ppm":
+        return [b"P6 # hand-made\n2 1\n# maxval next\n255\n" + bytes(range(6)),
+                b"P6\n1 2\n255\n" + bytes(range(6)),
+                b"P6\t#c\r\n 1\r1#x\n255 " + bytes(3)]
+    rng = np.random.default_rng(0)
+    p = tmp_path / "base.dvtn"
+    write_container(p, {"a": rng.random((2, 3)).astype(np.float32), "s": np.float64(2.5),
+                        "\u00e9": np.zeros((0, 2)), "v": rng.random(4)})
+    return [p.read_bytes()]
+
+
+def _sweep_damage(rng, raw: bytes) -> bytes:
+    """One to three cuts, byte or word overwrites, insertions or deletions."""
+    buf = bytearray(raw)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(buf) + 1)
+        action = rng.choice(["cut", "byte", "word", "append", "insert", "delete"])
+        if action == "cut":
+            del buf[at:]
+        elif action == "byte" and buf:
+            buf[min(at, len(buf) - 1)] = rng.randrange(256)
+        elif action == "word":
+            buf[at:at + 4] = rng.choice(_SWEEP_WORDS)
+        elif action == "append":
+            buf += bytes(rng.randrange(256) for _ in range(rng.randint(1, 8)))
+        elif action == "insert":
+            buf[at:at] = rng.choice([b" ", b"#", b"\n", b"#x\n", b"0", b"9", b"\x00"])
+        elif action == "delete" and buf:
+            del buf[min(at, len(buf) - 1)]
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("reader, cases, digest", [
+    ("container", 2150, "b46a5ed36c9ae2f31a38a6e8065e7e9bfdc66b7593eadc27ac71b6784a2ee374"),
+    ("ppm", 2084, "a9f879fbbf42da18145bc153be9ca418e8a345a61d28dc95e6a42fb074d88c6b"),
+])
+def test_every_prefix_and_damaged_copy_gives_the_pinned_outcome(tmp_path, reader, cases, digest):
+    # every prefix of each base file, then 2,000 damaged copies; the digest
+    # covers each outcome, the arrays' bytes or the error's class, message
+    # and offset, so a changed result anywhere changes it
+    read = {"container": read_container, "ppm": read_ppm}[reader]
+    bases = _sweep_bases(reader, tmp_path)
+    rng = random.Random(12345)
+    blobs = [base[:cut] for base in bases for cut in range(len(base) + 1)]
+    blobs += [_sweep_damage(rng, rng.choice(bases)) for _ in range(2000)]
+    p = tmp_path / "x"
+    h = hashlib.sha256()
+    for blob in blobs:
+        p.write_bytes(blob)
+        try:
+            out = read(p)
+        except DepvitError as exc:
+            h.update(repr((type(exc).__name__, str(exc), exc.offset)).encode())
+            continue
+        for name, arr in (out.items() if isinstance(out, dict) else [("", out)]):
+            h.update(repr((name, arr.dtype.str, arr.shape)).encode() + arr.tobytes())
+    assert (len(blobs), h.hexdigest()) == (cases, digest)
 
 
 # -- readers under generated input -------------------------------------------

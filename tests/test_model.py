@@ -154,6 +154,10 @@ class TestWeights:
             assert (t.dtype, t.shape) == (arr.dtype, arr.shape), name
             assert t.tobytes() == arr.tobytes(), name
 
+    def test_init_dtype_must_be_float32_or_float64(self):
+        with pytest.raises(UsageError, match="float32 or float64"):
+            init_weights(small_config(), dtype=np.int32)
+
     def test_table_order_is_named_tensors_order(self):
         cfg = small_config()
         names = list(parameter_shapes(cfg))

@@ -30,8 +30,8 @@ def randu(rng, shape, lo=-1.0, hi=1.0):
 class TestForwardOracles:
     def test_matmul_hand_case(self):
         # [[1,2,3],[4,5,6]] @ [[7,8],[9,10],[11,12]] = [[58,64],[139,154]]
-        a = T.tensor([[1, 2, 3], [4, 5, 6]])
-        b = T.tensor([[7, 8], [9, 10], [11, 12]])
+        a = T.tensor([[1, 2, 3], [4, 5, 6]], dtype=np.float32)
+        b = T.tensor([[7, 8], [9, 10], [11, 12]], dtype=np.float32)
         out = T.matmul(a, b)
         np.testing.assert_allclose(out.data, [[58, 64], [139, 154]])
 
@@ -114,7 +114,8 @@ class TestForwardOracles:
 class TestErrorPaths:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            T.matmul(T.tensor(np.ones((2, 3))), T.tensor(np.ones((2, 3))))
+            T.matmul(T.tensor(np.ones((2, 3)), dtype=np.float32),
+                     T.tensor(np.ones((2, 3)), dtype=np.float32))
 
     def test_mixed_dtype_rejected(self):
         a = T.tensor(np.ones((2, 2)), dtype=np.float32)
@@ -122,9 +123,14 @@ class TestErrorPaths:
         with pytest.raises(ShapeError):
             T.add(a, b)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16])
+    def test_tensor_dtype_must_be_float32_or_float64(self, dtype):
+        with pytest.raises(UsageError, match="float32 or float64"):
+            T.tensor([1, 2], dtype=dtype)
+
     def test_nonfinite_input_rejected_at_construction(self):
         with pytest.raises(NumericError):
-            T.tensor([1.0, np.nan])
+            T.tensor([1.0, np.nan], dtype=np.float32)
 
     def test_nonfinite_result_rejected(self):
         a = T.tensor([1.0], dtype=np.float64)
@@ -173,7 +179,7 @@ class TestErrorPaths:
     def test_bad_temperature(self, temperature):
         # inf would give a uniform row and NaN a NumericError later
         with pytest.raises(UsageError, match="temperature"):
-            T.softmax_rows(T.tensor([[1.0, 2.0]]), temperature=temperature)
+            T.softmax_rows(T.tensor([[1.0, 2.0]], dtype=np.float32), temperature=temperature)
 
     def test_gradcheck_reports_its_fixed_step(self):
         x = T.tensor([1.0], dtype=np.float64)

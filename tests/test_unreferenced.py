@@ -44,7 +44,6 @@ WHOLE_READ = {"BlockWeights", "ModelWeights", "ModelConfig", "LayerCost", "CostR
               "MetricReport", "GradCheckReport"}
 
 SETTABLE = {
-    "block.init_block_weights.dtype",
     "cli.run.argv",
     "errors.FormatError.__init__.offset",
     "evalkit.MetricReport.acc", "evalkit.MetricReport.iou", "evalkit.MetricReport.macc",
@@ -55,9 +54,9 @@ SETTABLE = {
     "model.ModelConfig.layers", "model.ModelConfig.num_classes",
     "model.ModelConfig.patch_size", "model.ModelConfig.prune_schedule",
     "model.ModelConfig.seed", "model.init_weights.dtype",
-    "tensor.Tensor.__init__.dtype", "tensor.Tensor.__init__.requires_grad",
+    "tensor.Tensor.__init__.requires_grad",
     "tensor.grad_check.tolerance",
-    "tensor.tensor.dtype", "tensor.tensor.requires_grad",
+    "tensor.tensor.requires_grad",
     "train.toy_train.batch_size", "train.toy_train.lr", "train.toy_train.seed",
     "train.toy_train.steps",
     "tree.DependencyTree.subtree",
