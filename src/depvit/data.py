@@ -88,11 +88,15 @@ def blob_scene(k: int, rng: np.random.Generator, grid: int, patch: int) -> BlobS
 
     Regions are contiguous, each at least an eighth of the grid per region
     (and at least two patches).  Region r lights color channel r mod 3; at
-    most three regions keep the colors orthogonal.
+    most three regions keep the colors orthogonal.  A grid too small for k
+    regions at that floor is a usage error, raised before anything is drawn.
     """
     if not 1 <= k <= 3:
         raise UsageError(f"k must be in 1..3 for orthogonal colors, got {k}")
     min_cells = max(2, (grid * grid) // (8 * k))
+    if k * min_cells > grid * grid:
+        raise UsageError(f"a {grid}x{grid} patch grid cannot hold {k} regions "
+                         f"of at least {min_cells} patches")
     for _ in range(200):
         labels = _grow_regions(grid, k, rng)
         sizes = np.bincount(labels.reshape(-1), minlength=k)

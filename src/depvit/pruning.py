@@ -234,12 +234,14 @@ def retrieve_dense(final_tokens: np.ndarray, ledger: PruneLedger) -> np.ndarray:
     alive[ledger.survivors()] = True
     out[alive] = final_tokens
     for e in reversed(ledger.events):
-        terms = e.shares[:, None] * out[alive]  # float64 whatever the token dtype
-        # parents are added one by one in journal order: a sum over axis 0 adds
-        # whole rows in order, but a single column is summed pairwise, so it takes
-        # the last prefix sum; + 0.0 makes a -0.0 total +0.0, as a zero-started sum would
-        total = np.add.reduce(terms, axis=0) if c != 1 else np.cumsum(terms[:, 0])[-1:]
-        out[e.token] = total + 0.0
+        parents = out[alive].astype(np.float64, copy=False)  # float64 whatever the token dtype
+        # parents are added one by one in journal order, starting from zero:
+        # einsum adds whole rows that way, but not a single column, which takes
+        # the last prefix sum (+ 0.0 turns a -0.0 total into a zero start's +0.0)
+        if c != 1:
+            out[e.token] = np.einsum("p,pc->c", e.shares, parents)
+        else:
+            out[e.token] = np.cumsum(e.shares * parents[:, 0])[-1:] + 0.0
         alive[e.token] = True
     return out
 

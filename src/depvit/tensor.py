@@ -39,6 +39,7 @@ _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_erf = None  # scipy.special.erf, bound by gelu's first call
 LAYER_NORM_EPS = 1e-6  # added to the variance before its square root
 
 # Tensor identity on a tape: unlike id(), a serial is never reused once an
@@ -86,7 +87,7 @@ _CURRENT_TAPE: ContextVar["Tape | None"] = ContextVar("depvit_tape", default=Non
 class _Record(NamedTuple):
     # Serials, not tensors: the tape pins only what ``backward`` captured.
     out: int
-    inputs: tuple[int, ...]
+    inputs: list[int]
     backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
 
 
@@ -150,15 +151,17 @@ class Tape:
 
 
 _reduce_sum = np.add.reduce
-_reduce_max = np.maximum.reduce
+_reduce_fmax = np.fmax.reduce
 _isfinite = math.isfinite
+_vdot = np.vdot
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    # One fused reduction: any NaN/Inf forces a non-finite sum.  Only on a
-    # non-finite sum (which finite values can also cause by overflowing) is
-    # the exact elementwise scan run to decide.
-    if not _isfinite(_reduce_sum(arr, axis=None)) and not np.isfinite(arr).all():
+    # One dot product of the array with itself: any NaN/Inf forces a
+    # non-finite sum of squares.  Only on a non-finite sum (which finite
+    # values can also cause by overflowing) is the exact elementwise scan
+    # run to decide.
+    if not _isfinite(_vdot(arr, arr)) and not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -174,9 +177,12 @@ def _record(op: str | None, out_data, inputs: tuple[Tensor, ...], backward) -> T
         _check_finite(out_data, op)
     out = Tensor(out_data)
     tape = _CURRENT_TAPE.get()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape._records.append(_Record(out.serial, tuple(t.serial for t in inputs), backward))
+    if tape is not None:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                tape._records.append(_Record(out.serial, [t.serial for t in inputs], backward))
+                break
     return out
 
 
@@ -189,22 +195,25 @@ def _same_dtype(op: str, *tensors: Tensor) -> None:
 
 def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
     """``fn(a, b)`` for the broadcasting kernels: one dtype, broadcastable shapes."""
-    if a.data.dtype is not b.data.dtype:
+    x, y = a.data, b.data
+    if x.dtype is not y.dtype:
         _same_dtype(op, a, b)
     try:
-        return fn(a.data, b.data)
+        return fn(x, y)
     except ValueError as exc:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = _reduce_sum(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = _reduce_sum(grad, axis=axes, keepdims=True)
     return grad
 
 
@@ -232,20 +241,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Operands have rank 2 or more; a 2-D product is the case with no
     leading axes.
     """
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul expects ndim >= 2, got {a.shape} @ {b.shape}")
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul leading dims differ: {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    if a.data.dtype is not b.data.dtype:
+    x, y = a.data, b.data
+    sx, sy = x.shape, y.shape
+    if len(sx) < 2 or len(sy) < 2:
+        raise ShapeError(f"matmul expects ndim >= 2, got {sx} @ {sy}")
+    if sx[:-2] != sy[:-2]:
+        raise ShapeError(f"matmul leading dims differ: {sx} @ {sy}")
+    if sx[-1] != sy[-2]:
+        raise ShapeError(f"matmul inner dims differ: {sx} @ {sy}")
+    if x.dtype is not y.dtype:
         _same_dtype("matmul", a, b)
-    out_data = a.data @ b.data
+    out_data = x @ y
     ad, bd = _operands(a, b)
 
     def backward(g):
-        ga = g @ np.swapaxes(bd, -1, -2) if bd is not None else None
-        gb = np.swapaxes(ad, -1, -2) @ g if ad is not None else None
+        ga = g @ bd.swapaxes(-1, -2) if bd is not None else None
+        gb = ad.swapaxes(-1, -2) @ g if ad is not None else None
         return ga, gb
 
     return _record("matmul", out_data, (a, b), backward)
@@ -254,8 +265,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
     out_data = _broadcast("add", operator.add, a, b)
-    sa = a.shape if a.requires_grad else None
-    sb = b.shape if b.requires_grad else None
+    sa = a.data.shape if a.requires_grad else None
+    sb = b.data.shape if b.requires_grad else None
 
     def backward(g):
         ga = _unbroadcast(g, sa) if sa is not None else None
@@ -269,7 +280,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     out_data = _broadcast("mul", operator.mul, a, b)
     ad, bd = _operands(a, b)
-    sa, sb = a.shape, b.shape
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
         ga = _unbroadcast(g * bd, sa) if bd is not None else None
@@ -285,7 +296,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     # both sides' formulas read the divisor; only b's reads the dividend
     ad = a.data if b.requires_grad else None
     bd, need_a = b.data, a.requires_grad
-    sa, sb = a.shape, b.shape
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
         ga = _unbroadcast(g / bd, sa) if need_a else None
@@ -298,7 +309,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a python scalar (scalar is not differentiated)."""
     s = float(s)
-    out_data = a.data * a.dtype.type(s)
+    x = a.data
+    out_data = x * x.dtype.type(s)
 
     def backward(g):
         return (g * s,)
@@ -308,12 +320,13 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """View with a new shape (same element count, row-major order)."""
+    x = a.data
     try:
-        out_data = a.data.reshape(shape).copy()
+        out_data = x.reshape(shape).copy()
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from exc
 
-    in_shape = a.shape
+    in_shape = x.shape
 
     def backward(g):
         return (g.reshape(in_shape),)
@@ -323,12 +336,13 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def transpose_last2(a: Tensor) -> Tensor:
     """Swap the last two axes."""
-    if a.data.ndim < 2:
+    x = a.data
+    if x.ndim < 2:
         raise ShapeError(f"transpose_last2 needs ndim >= 2, got {a.shape}")
-    out_data = np.swapaxes(a.data, -1, -2).copy()
+    out_data = x.swapaxes(-1, -2).copy()
 
     def backward(g):
-        return (np.swapaxes(g, -1, -2),)
+        return (g.swapaxes(-1, -2),)
 
     return _record(None, out_data, (a,), backward)
 
@@ -443,27 +457,32 @@ def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def split_heads(a: Tensor, heads: int) -> Tensor:
     """(N, C) -> (heads, N, C/heads), head h owning column block h."""
-    if a.data.ndim != 2:
+    x = a.data
+    if x.ndim != 2:
         raise ShapeError(f"split_heads expects (tokens, channels), got {a.shape}")
-    n, c = a.shape
+    n, c = x.shape
     if heads < 1 or c % heads != 0:
         raise ShapeError(f"split_heads: {c} channels not divisible into {heads} heads")
-    out_data = a.data.reshape(n, heads, c // heads).swapaxes(0, 1).copy()
+    out_data = x.reshape(n, heads, c // heads).swapaxes(0, 1).copy()
 
     def backward(g):
-        return (np.ascontiguousarray(g.swapaxes(0, 1)).reshape(n, c),)
+        # written into one fresh (N, C) array, which the tape keeps uncopied
+        gx = np.empty((n, c), dtype=g.dtype)
+        gx.reshape(n, heads, c // heads)[...] = g.swapaxes(0, 1)
+        return (gx,)
 
     return _record(None, out_data, (a,), backward)
 
 
 def merge_heads(a: Tensor) -> Tensor:
     """(heads, N, d) -> (N, heads*d), inverse of split_heads."""
-    if a.data.ndim != 3:
+    x = a.data
+    if x.ndim != 3:
         raise ShapeError(f"merge_heads expects (heads, tokens, width), got {a.shape}")
-    h, n, d = a.shape
+    h, n, d = x.shape
     # np.array copies even where the swap is already C-contiguous (one head
     # or one token), which np.ascontiguousarray would return as a view
-    out_data = np.array(a.data.swapaxes(0, 1), order="C").reshape(n, h * d)
+    out_data = np.array(x.swapaxes(0, 1), order="C").reshape(n, h * d)
 
     def backward(g):
         return (g.reshape(n, h, d).swapaxes(0, 1).copy(),)
@@ -499,8 +518,13 @@ def softmax_rows(a: Tensor, temperature: float) -> Tensor:
     """
     if not 0 < temperature < math.inf:  # NaN fails both comparisons
         raise UsageError(f"softmax temperature must be positive and finite, got {temperature}")
-    out_data = a.data / a.dtype.type(temperature)
-    out_data -= _reduce_max(out_data, axis=-1, keepdims=True)
+    x = a.data
+    out_data = x / x.dtype.type(temperature)
+    # fmax skips NaN where maximum propagates it.  Without NaN the maximum is
+    # the same, except that a tie of +0 and -0 may give the other zero; that
+    # changes at most the sign of a zero entry, and exp maps both zeros to 1.
+    # A NaN entry stays NaN, so the output check still refuses the row.
+    out_data -= _reduce_fmax(out_data, axis=-1, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= _reduce_sum(out_data, axis=-1, keepdims=True)
 
@@ -515,12 +539,15 @@ def softmax_rows(a: Tensor, temperature: float) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian error linear unit: x * Phi(x)."""
-    # Imported here, not at module level: scipy.special is most of the
-    # package's import time, and commands that run no block never need it.
-    from scipy.special import erf
+    global _erf
+    if _erf is None:
+        # Imported on the first call, not at module level: scipy.special is
+        # most of the package's import time, and commands that run no block
+        # never need it.
+        from scipy.special import erf as _erf
 
     x = a.data
-    phi = erf(x * _INV_SQRT2)
+    phi = _erf(x * _INV_SQRT2)
     phi += 1.0
     phi *= 0.5
     out_data = x * phi
@@ -555,19 +582,19 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply per-feature gain and bias."""
-    c = a.shape[-1]
-    if gain.shape != (c,) or bias.shape != (c,):
+    x, gd = a.data, gain.data
+    c = x.shape[-1]
+    if gd.shape != (c,) or bias.data.shape != (c,):
         raise ShapeError(f"layer_norm: gain/bias must be ({c},), got {gain.shape}/{bias.shape}")
-    _same_dtype("layer_norm", a, gain, bias)
-    x = a.data
+    if not (x.dtype is gd.dtype is bias.data.dtype):
+        _same_dtype("layer_norm", a, gain, bias)
     # add.reduce / c is the mean np.mean computes, without its Python wrapper
     xhat = x - _reduce_sum(x, axis=-1, keepdims=True) / c
     var = _reduce_sum(xhat * xhat, axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt(var + a.dtype.type(LAYER_NORM_EPS))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(LAYER_NORM_EPS))
     xhat *= inv
-    out_data = xhat * gain.data
+    out_data = xhat * gd
     out_data += bias.data
-    gd = gain.data
     need_x, need_gain, need_bias = a.requires_grad, gain.requires_grad, bias.requires_grad
 
     def backward(g):

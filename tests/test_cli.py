@@ -304,6 +304,20 @@ class TestFlopsGradcheckTrain:
         assert len(rep["losses"]) == 3
         assert 0.0 <= rep["accuracy"] <= 1.0
 
+    @pytest.mark.parametrize("image_size, k", [(16, 2), (32, 3)])
+    def test_train_toy_grid_too_small_is_usage_error(self, tmp_path, capsys, image_size, k):
+        # a 1 x 1 grid cannot seed two regions, and a 2 x 2 grid cannot hold
+        # the second scene's three regions of two patches
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(f"image_size={image_size}\npatch_size=16\nchannels=16\nheads=4\n"
+                       "layers=2\nnum_classes=2\nseed=0\n")
+        assert run(["train-toy", "--config", str(cfg), "--steps", "1",
+                    "--samples", "2"]) == 2
+        err = capsys.readouterr().err
+        grid = image_size // 16
+        assert f"{grid}x{grid} patch grid cannot hold {k} regions" in err
+        assert "Traceback" not in err
+
     def test_flag_defaults_are_the_library_defaults(self):
         def default(fn, param):
             return inspect.signature(fn).parameters[param].default

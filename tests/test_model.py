@@ -449,6 +449,21 @@ class TestBlobData:
         with pytest.raises(UsageError):
             blob_scene(4, np.random.default_rng(0), grid=8, patch=16)
 
+    @pytest.mark.parametrize("grid, k", [(1, 1), (1, 2), (2, 3)])
+    def test_grid_too_small_is_usage_error_before_any_draw(self, grid, k):
+        # k regions of at least two patches need 2k cells; refusing up front
+        # leaves the generator where a feasible scene would start drawing
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(UsageError, match=f"{grid}x{grid} patch grid cannot hold {k}"):
+            blob_scene(k, rng, grid=grid, patch=16)
+        assert rng.bit_generator.state == state
+
+    def test_smallest_feasible_grid_still_draws(self):
+        # two regions of two patches fill a 2 x 2 grid exactly
+        s = blob_scene(2, np.random.default_rng(0), grid=2, patch=16)
+        assert sorted(np.bincount(s.labels.ravel()).tolist()) == [2, 2]
+
     def test_dataset_balanced_and_deterministic(self):
         d1 = blob_dataset(8, seed=3, grid=8, patch=16)
         d2 = blob_dataset(8, seed=3, grid=8, patch=16)

@@ -483,7 +483,7 @@ class TestRetrieveDense:
         assert retrieve_dense(x, led)[0, 0] == acc
 
 
-    @pytest.mark.parametrize("width", [2, 3, 4])
+    @pytest.mark.parametrize("width", [2, 3, 4, 64])
     def test_wide_tokens_sum_parents_in_journal_order(self, width):
         # a (P, C) table summed over axis 0 must add whole rows in journal
         # order, as the per-parent loop does, for every width above one

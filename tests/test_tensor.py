@@ -271,6 +271,87 @@ class TestKernelExactness:
         assert np.array_equal(x, np.arange(12.0).reshape(4, 3))
 
 
+class TestFiniteCheck:
+    """A checked output is refused exactly when one of its entries is NaN or
+    infinite, whatever its size, layout or magnitude: a sum of squares that
+    overflows on finite entries falls back to the elementwise scan."""
+
+    @staticmethod
+    def refused(arr):
+        try:
+            T._check_finite(arr, "probe")
+        except NumericError:
+            return True
+        return False
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_hand_cases(self, dtype):
+        big = np.finfo(dtype).max
+        cases = [
+            np.zeros(0), np.zeros((3, 0)), np.asarray(0.0), np.asarray(np.nan),
+            np.asarray(-np.inf), np.array([big, big, -big]), np.array([big / 2] * 4),
+            np.array([np.finfo(dtype).tiny / 4, -0.0]), np.array([np.inf, -np.inf]),
+            np.array([1.0, np.nan, np.inf]), np.full((5, 7), np.sqrt(big) * 2.0),
+        ]
+        for a in cases:
+            a = a.astype(dtype)
+            assert self.refused(a) == (not np.isfinite(a).all()), a
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_arrays_with_specials(self, seed):
+        # sizes on both sides of BLAS's threading threshold, strided views,
+        # and magnitudes whose squares overflow
+        rng = np.random.default_rng(seed)
+        for trial in range(150):
+            dtype = (np.float32, np.float64)[trial % 2]
+            shape = tuple(int(n) for n in rng.integers(1, 40, size=rng.integers(1, 4)))
+            with np.errstate(over="ignore"):  # float32 casts of 1e30-scale values
+                a = (rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30)).astype(dtype)
+            if trial % 3 == 0:
+                a.flat[rng.integers(0, a.size)] = rng.choice([np.nan, np.inf, -np.inf])
+            if trial % 5 == 0:
+                a = a[..., ::2]
+            with np.errstate(over="ignore"):
+                assert self.refused(a) == (not np.isfinite(a).all())
+        wide = rng.standard_normal(20_000).astype(np.float32)
+        assert not self.refused(wide)
+        wide[12_345] = np.nan
+        assert self.refused(wide)
+
+
+class TestSoftmaxRowMaximum:
+    """``softmax_rows`` shifts by ``np.fmax.reduce``, which skips NaN where
+    ``np.max`` propagates it.  Rows without NaN must keep every byte of the
+    oracle's output, and non-finite rows must still be refused."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("row", [
+        [0.0, -0.0, -1.0],      # the maximum ties at +0 then -0
+        [-0.0, 0.0, -1.0],      # ... at -0 then +0
+        [-0.0, -2.0, -0.0],     # only -0 at the top
+        [-np.inf, 0.5, -np.inf],
+        [-np.inf, -0.0, 0.0],
+        [3.0, -np.inf, 3.0],
+    ])
+    @pytest.mark.parametrize("temperature", [1e-3, 1.0, 1e3])
+    def test_ties_at_zero_and_minus_inf_match_oracle(self, dtype, row, temperature):
+        x = np.array([row, row[::-1]], dtype=dtype)
+        g = np.ones_like(x)
+        out = T.softmax_rows(T.Tensor(x), temperature)  # Tensor(), as tensor() refuses -inf
+        want, _ = softmax_rows_kernel(x, temperature, g)
+        assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("row", [
+        [np.inf, 0.0], [1.0, np.inf, np.inf], [np.nan, 0.0], [0.0, np.nan, 2.0],
+        [np.nan, np.nan], [-np.inf, -np.inf],
+    ])
+    def test_non_finite_rows_still_raise(self, dtype, row):
+        x = T.Tensor(np.array([[0.0] * len(row), row], dtype=dtype))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            T.softmax_rows(x, temperature=1.0)
+
+
 class TestGradients:
     """Every kernel's backward is checked against central differences."""
 
@@ -465,6 +546,16 @@ class TestBatchedHeadOps:
             return s
 
         assert T.grad_check(f, [a, b]).max_rel_error < 1e-8
+
+    def test_split_heads_backward_is_one_fresh_array(self):
+        # Tape.gradients keeps a base-less gradient as it is and copies a view
+        a = T.Tensor(np.arange(12.0).reshape(2, 6), requires_grad=True)
+        with T.Tape() as tape:
+            T.split_heads(a, 3)
+        g = np.arange(12.0).reshape(3, 2, 2) * 10.0
+        (ga,) = tape._records[-1].backward(g)
+        assert ga.base is None and ga.flags.c_contiguous
+        assert ga.tobytes() == np.ascontiguousarray(g.swapaxes(0, 1)).reshape(2, 6).tobytes()
 
     def test_split_heads_owns_column_blocks(self):
         # 2 tokens, 6 channels, 3 heads: head h gets columns [2h, 2h+2)
