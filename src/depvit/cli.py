@@ -21,7 +21,6 @@ from .block import block_probe_loss, init_block_weights
 from .costs import model_cost
 from .data import blob_dataset
 from .errors import (
-    ConfigError,
     FormatError,
     IntegrityError,
     NumericError,
@@ -262,10 +261,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (UsageError, ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, IntegrityError, ShapeError, TrainingError) as exc:

@@ -103,27 +103,20 @@ def hungarian_match(scores: np.ndarray) -> list[tuple[int, int]]:
     rows = list(range(p))
     cols = list(range(g))
     fixed = 0.0
-    for i in list(rows):
-        if len(pairs) == min(p, g):
-            break
-        chosen = None
-        for j in cols:
-            rest = scores[np.ix_([r for r in rows if r != i],
-                                 [c for c in cols if c != j])]
-            if abs(fixed + scores[i, j] + _best_total(rest) - target) <= tol:
-                chosen = j
+    while rows and cols:
+        i = rows.pop(0)
+        # None leaves row i unmatched, which only a row beyond the column count can afford
+        for j in [*cols, None]:
+            gain = 0.0 if j is None else scores[i, j]
+            rest = scores[np.ix_(rows, [c for c in cols if c != j])]
+            if abs(fixed + gain + _best_total(rest) - target) <= tol:
                 break
-        if chosen is None:
-            # row i stays unmatched; only possible when rows outnumber columns
-            rest = scores[np.ix_([r for r in rows if r != i], cols)]
-            if abs(fixed + _best_total(rest) - target) > tol:
-                raise NumericError("assignment fixing lost the optimum")
-            rows.remove(i)
-            continue
-        pairs.append((i, chosen))
-        fixed += scores[i, chosen]
-        rows.remove(i)
-        cols.remove(chosen)
+        else:
+            raise NumericError("assignment fixing lost the optimum")
+        if j is not None:
+            pairs.append((i, j))
+            fixed += gain
+            cols.remove(j)
     return pairs
 
 

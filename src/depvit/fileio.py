@@ -229,7 +229,7 @@ def _finite_float(text: str) -> float:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    return tuple(int(v) for v in text.split(",")) if text else ()
 
 
 # the prune schedule is written as two lists, layer numbers and kept counts

@@ -153,18 +153,10 @@ def patch_embed(image: np.ndarray, config: ModelConfig, weights: ModelWeights) -
     Within a patch, values are ordered pixel-row, pixel-column, then color.
     """
     image = np.asarray(image)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ShapeError(f"image must be (H, W, 3), got {image.shape}")
-    hh, ww, _ = image.shape
-    p = config.patch_size
-    if hh % p != 0 or ww % p != 0:
-        raise ConfigError(f"image {hh}x{ww} not divisible by patch size {p}")
-    patches = (hh // p) * (ww // p)
-    if patches != config.tokens:
-        raise ConfigError(
-            f"image yields {patches} patches but the config expects {config.tokens}"
-        )
-    x = tn.tensor(patch_vectors(image, p), dtype=weights.patch_proj.dtype)
+    want = (config.image_size, config.image_size, 3)
+    if image.shape != want:
+        raise ConfigError(f"image shape {image.shape} does not match the config's {want}")
+    x = tn.tensor(patch_vectors(image, config.patch_size), dtype=weights.patch_proj.dtype)
     projected = tn.add(tn.matmul(x, weights.patch_proj), weights.patch_bias)
     return tn.add(projected, weights.pos_table)
 

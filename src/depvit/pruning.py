@@ -130,13 +130,12 @@ def argmax_graph(mask: np.ndarray) -> np.ndarray:
     A single token is its own root (-1).  Ties pick the lowest row index.
     The result may contain cycles; it is a graph, not yet a tree.
     """
-    mask = np.asarray(mask, dtype=np.float64)
-    n = mask.shape[0]
-    if mask.shape != (n, n):
-        raise UsageError(f"mask must be square, got {mask.shape}")
+    w = np.array(mask, dtype=np.float64)
+    n = w.shape[0]
+    if w.shape != (n, n):
+        raise UsageError(f"mask must be square, got {w.shape}")
     if n == 1:
         return np.array([-1], dtype=np.int64)
-    w = mask.copy()
     np.fill_diagonal(w, -np.inf)
     return np.argmax(w, axis=0).astype(np.int64)
 
@@ -193,7 +192,7 @@ def prune_step(states: list[AttentionState],
             raise IntegrityError(
                 "argmax-graph cycles leave no prunable leaf; cannot reach kept count"
             )
-        for v in leaves[np.lexsort((survivors[leaves], scores[leaves]))][:remaining - kept]:
+        for v in leaves[np.argsort(scores[leaves], kind="stable")][:remaining - kept]:
             alive[v] = False
             remaining -= 1
             local = np.flatnonzero(alive)

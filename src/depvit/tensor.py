@@ -674,9 +674,10 @@ def grad_check(
     """Compare tape gradients of scalar ``fn(inputs)`` to central differences.
 
     All inputs must be float64, the finite-difference step is 1e-5 and the
-    tolerance must be positive and finite.  The error for one input is
-    ||g - fd||_2 / max(||g||_2 + ||fd||_2, 1e-12) and the report carries
-    the maximum over inputs.
+    tolerance must be positive and finite.  Each entry is perturbed in
+    place, so an input of any memory layout is checked.  The error for one
+    input is ||g - fd||_2 / max(||g||_2 + ||fd||_2, 1e-12) and the report
+    carries the maximum over inputs.
     """
     step = 1e-5
     if not 0 < tolerance < math.inf:  # NaN fails both comparisons
@@ -694,17 +695,15 @@ def grad_check(
 
     errors: list[float] = []
     for t, g in zip(inputs, grads):
-        fd = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        fd_flat = fd.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
+        fd = np.zeros(t.shape)  # row-major, so the norms below ignore t's layout
+        for i in np.ndindex(t.shape):
+            orig = t.data[i]
+            t.data[i] = orig + step
             hi = fn(inputs).item()
-            flat[i] = orig - step
+            t.data[i] = orig - step
             lo = fn(inputs).item()
-            flat[i] = orig
-            fd_flat[i] = (hi - lo) / (2.0 * step)
+            t.data[i] = orig
+            fd[i] = (hi - lo) / (2.0 * step)
         num = float(np.linalg.norm(g - fd))
         den = max(float(np.linalg.norm(g)) + float(np.linalg.norm(fd)), 1e-12)
         errors.append(num / den)

@@ -371,6 +371,25 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "not UTF-8" in err and "Traceback" not in err
 
+    def test_empty_config_list_item_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + "prune_layers=1,,2\nkept_tokens=12,,8\n")
+        assert run(["flops", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad value for prune_layers" in err and "Traceback" not in err
+
+    def test_image_not_the_config_size_is_usage_error(self, workdir, tmp_path, capsys):
+        # as many patches as the 64 px config expects, but not a 64 x 64 image
+        d, cfg, weights, _ = workdir
+        image = tmp_path / "wide.ppm"
+        write_ppm(image, np.random.default_rng(0).random((32, 128, 3)))
+        out = tmp_path / "tree.json"
+        assert run(["parse", "--input", str(image), "--weights", str(weights),
+                    "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "(32, 128, 3)" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unsupported_input_extension(self, workdir, tmp_path):
         d, cfg, weights, _ = workdir
         p = tmp_path / "x.png"

@@ -532,6 +532,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             parse_config(line)
 
+    @pytest.mark.parametrize("text, lineno, key", [
+        ("prune_layers=2,,3\nkept_tokens=12,,8", 1, "prune_layers"),
+        ("prune_layers=2,\nkept_tokens=12", 1, "prune_layers"),
+        ("seed=1\nprune_layers=2\nkept_tokens=,12", 3, "kept_tokens"),
+        ("prune_layers=2, \nkept_tokens=12", 1, "prune_layers"),
+    ])
+    def test_empty_list_item_rejected(self, text, lineno, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert f"line {lineno}: bad value for {key}" in str(err.value)
+
     def test_mismatched_schedule_lists(self):
         with pytest.raises(ConfigError):
             parse_config("prune_layers=2,5\nkept_tokens=160")

@@ -126,6 +126,15 @@ class TestPatchEmbed:
         with pytest.raises(ConfigError):
             patch_embed(np.zeros((60, 64, 3), dtype=np.float32), cfg, w)
 
+    # (32, 128, 3) cuts into 16 patches, as many as a 64 px image, but is not one
+    @pytest.mark.parametrize("shape", [(32, 128, 3), (64, 64), (64, 64, 4), (1, 64, 64, 3)])
+    def test_any_other_shape_rejected_naming_both(self, shape):
+        cfg = small_config()
+        w = init_weights(cfg)
+        with pytest.raises(ConfigError) as err:
+            patch_embed(np.zeros(shape, dtype=np.float32), cfg, w)
+        assert str(shape) in str(err.value) and "(64, 64, 3)" in str(err.value)
+
 
 class TestWeights:
     def test_param_count_tiny(self):

@@ -190,6 +190,22 @@ class TestErrorPaths:
         with pytest.raises(UsageError):
             T.grad_check(lambda ts: T.sum_over_axis(ts[0], 0), [x])
 
+    @pytest.mark.parametrize("view", [lambda a: a.T, lambda a: a[1::2, ::3]],
+                             ids=["transposed", "strided"])
+    def test_gradcheck_ignores_memory_layout(self, view):
+        # the perturbations must reach fn through a non-contiguous array too;
+        # the reshape makes fn's own arithmetic independent of the layout
+        arr = view(np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 9)))
+        assert not arr.flags.c_contiguous
+
+        def f(ts):
+            return T.sum_squares(T.reshape(ts[0], (ts[0].data.size,)))
+
+        strided = T.grad_check(f, [T.Tensor(arr)])
+        packed = T.grad_check(f, [T.Tensor(np.ascontiguousarray(arr))])
+        assert strided.passed and strided.max_rel_error < 1e-8
+        assert strided.max_rel_error.hex() == packed.max_rel_error.hex()
+
 
 class TestPropertyInvariants:
     @given(st.integers(0, 2**32 - 1))

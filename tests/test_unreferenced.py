@@ -22,6 +22,10 @@ caller may leave out is a deliberate choice.
 Every dataclass field needs a reader too: ``.name`` must appear in
 ``src/`` or ``perfbench/``.  Classes whose fields are read all at once,
 through ``fields()`` or ``asdict()``, are allowlisted instead.
+
+Every parameter of a package function or method must be read in its
+body, so a value a caller passes always reaches the computation.  Dunder
+methods are exempt: their parameters are fixed by the protocol.
 """
 
 import ast
@@ -182,4 +186,20 @@ def test_dataclass_fields_have_readers():
         for st in node.body
         if isinstance(st, ast.AnnAssign) and st.target.id not in read
     }
+    assert sorted(unread) == []
+
+
+def test_parameters_are_read():
+    unread = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            read = {n.id for st in node.body for n in ast.walk(st)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread |= {f"{path.stem}.{node.name}.{p}" for p in params if p not in read}
     assert sorted(unread) == []
